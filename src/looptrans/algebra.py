@@ -4,6 +4,9 @@ A signed permutation on V points is stored by rows: vertex i is sent to
 ``targets[i-1]`` with sign ``signs[i-1]``.  In matrix form this is the V x V
 matrix with single non-zero entry ``signs[i-1]`` at position
 ``(i, targets[i-1])``, so ``compose(p, q)`` is the matrix product ``p * q``.
+The group closure engine :func:`bfs_closure`, :func:`compose_codes` and
+:func:`inverse_code` work on the :meth:`SignedPerm.encode` form instead: the
+targets with the signs folded in, one plain tuple.
 
 All arithmetic is exact; rational matrices use :class:`fractions.Fraction`
 throughout and no floating point appears anywhere in this module.
@@ -11,15 +14,24 @@ throughout and no floating point appears anywhere in this module.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from operator import itemgetter
+from typing import Iterator, Sequence
 
 Rational = int | Fraction
+Code = tuple[int, ...]
+
+DEFAULT_CLOSURE_CAP = 2_000_000
 
 
 class SizeMismatchError(ValueError):
     """Operands have incompatible dimensions."""
+
+
+class ClosureCapExceeded(RuntimeError):
+    """Group closure grew past the configured element cap."""
 
 
 @dataclass(frozen=True)
@@ -55,9 +67,14 @@ class SignedPerm:
         """Target and sign of vertex ``i`` (1-based)."""
         return self.targets[i - 1], self.signs[i - 1]
 
-    def encode(self) -> tuple[int, ...]:
+    def encode(self) -> Code:
         """Hashable encoding: target with the sign folded in."""
         return tuple(t * s for t, s in zip(self.targets, self.signs))
+
+    @staticmethod
+    def decode(code: Code) -> "SignedPerm":
+        """Inverse of :meth:`encode`."""
+        return SignedPerm(tuple(abs(x) for x in code), tuple(1 if x > 0 else -1 for x in code))
 
     def as_action(self) -> tuple[int, ...]:
         """The induced permutation of the 2n signed basis vectors.
@@ -114,6 +131,67 @@ def inverse(p: SignedPerm) -> SignedPerm:
         targets[t - 1] = i
         signs[t - 1] = s
     return SignedPerm(tuple(targets), tuple(signs))
+
+
+def compose_codes(p: Code, q: Code) -> Code:
+    """:func:`compose` on encoded signed permutations."""
+    return tuple(q[x - 1] if x > 0 else -q[-x - 1] for x in p)
+
+
+def inverse_code(p: Code) -> Code:
+    """:func:`inverse` on an encoded signed permutation."""
+    out = [0] * len(p)
+    for i, x in enumerate(p, start=1):
+        out[abs(x) - 1] = i if x > 0 else -i
+    return tuple(out)
+
+
+def bfs_closure(
+    generators: Sequence[Code], cap: int = DEFAULT_CLOSURE_CAP
+) -> Iterator[tuple[Code, tuple[int, ...]]]:
+    """Breadth-first closure of encoded signed permutations.
+
+    Yields ``(element, word)`` for each element the moment it is first
+    reached, identity first, where ``element`` is in :meth:`SignedPerm.encode`
+    form and equals ``word_product(generators, word)``: each generator is
+    applied on the left of the element it extends.  Raises
+    :class:`ClosureCapExceeded` when the group has more than ``cap`` elements.
+    """
+    n = len(generators[0])
+    if any(len(g) != n for g in generators):
+        raise SizeMismatchError("generators act on different point counts")
+    # An element x is held as x + (-x), its action on the 2n signed basis
+    # vectors, so that left multiplication by a generator is one itemgetter.
+    steps = []
+    for g in generators:
+        pick = [x - 1 if x > 0 else n - x - 1 for x in g]
+        steps.append(itemgetter(*pick, *((j + n) % (2 * n) for j in pick)))
+    ident = tuple(range(1, n + 1)) + tuple(range(-1, -n - 1, -1))
+    seen = {ident}
+    queue = deque([(ident, ())])
+    yield ident[:n], ()
+    while queue:
+        current, word = queue.popleft()
+        for c, step in enumerate(steps, start=1):
+            nxt = step(current)
+            if nxt in seen:
+                continue
+            if len(seen) >= cap:
+                raise ClosureCapExceeded(f"group closure exceeded cap {cap}")
+            seen.add(nxt)
+            nword = word + (c,)
+            queue.append((nxt, nword))
+            yield nxt[:n], nword
+
+
+def word_product(generators: Sequence[SignedPerm], word: Sequence[int]) -> SignedPerm:
+    """Product g_{c_l} ... g_{c_1} for the word c_1 .. c_l (letters are 1-based)."""
+    acc = SignedPerm.identity(generators[0].size)
+    for c in word:
+        if not 1 <= c <= len(generators):
+            raise ValueError(f"letter {c} out of range 1..{len(generators)}")
+        acc = compose(generators[c - 1], acc)
+    return acc
 
 
 def trace(p: SignedPerm) -> int:

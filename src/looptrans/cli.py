@@ -11,6 +11,7 @@ import json
 import sys
 from pathlib import Path
 
+from .algebra import ClosureCapExceeded
 from .catalog import CATALOG_NAMES, catalog as load_catalog
 from .enumeration import census, enumerate_classes
 from .formats import (
@@ -32,7 +33,6 @@ from .invariants import (
     trace_profile,
 )
 from .reps import (
-    GroupCapExceeded,
     NoBipartiteSystem,
     closure,
     pair_from_words,
@@ -51,7 +51,7 @@ from .transform import (
     substitute,
     swap_loop_signs,
 )
-from .transplant import ClosureCapExceeded, decide, verify_witness
+from .transplant import decide, verify_witness
 
 
 class InputError(Exception):
@@ -360,7 +360,6 @@ def main(argv: list[str] | None = None) -> int:
         NotNormalizable,
         NoBipartiteSystem,
         ClosureCapExceeded,
-        GroupCapExceeded,
         ValueError,
         KeyError,
         json.JSONDecodeError,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -26,7 +26,7 @@ from .graph import (
     NEUMANN_BYTE,
     canonical_form,
 )
-from .invariants import det_probe
+from .invariants import DEFAULT_MAX_WORD, det_probe
 from .transform import NotNormalizable, braid
 from .transplant import transplantable
 
@@ -201,7 +201,7 @@ def _canonical_mask(tarr: np.ndarray, sarr: np.ndarray) -> np.ndarray:
 
 
 def _trace_hash(tarr: np.ndarray, sarr: np.ndarray, max_len: int) -> np.ndarray:
-    """Rolling hash of the traces of all colour words up to max_len.
+    """Rolling hash of the traces of all colour words of length 1 .. max_len.
 
     Equal hashes are necessary for equal trace profiles; collisions only send
     extra candidates to the exact decision.
@@ -218,8 +218,9 @@ def _trace_hash(tarr: np.ndarray, sarr: np.ndarray, max_len: int) -> np.ndarray:
         h = h * mul + (tr + (v_count + 1)).astype(np.uint64)
 
     def rec(tw: np.ndarray, sw: np.ndarray, depth: int) -> None:
-        visit(tw, sw)
-        if depth == max_len:
+        if depth:
+            visit(tw, sw)
+        if depth >= max_len:
             return
         for c in range(c_count):
             tc = t0[:, c, :]
@@ -227,8 +228,7 @@ def _trace_hash(tarr: np.ndarray, sarr: np.ndarray, max_len: int) -> np.ndarray:
             sn = sarr[:, c, :] * np.take_along_axis(sw, tc, axis=1)
             rec(tn, sn, depth + 1)
 
-    for c in range(c_count):
-        rec(t0[:, c, :], sarr[:, c, :], 1)
+    rec(np.broadcast_to(idx, (n, v_count)), np.ones((n, v_count), np.int8), 0)
     return h
 
 
@@ -271,7 +271,6 @@ def enumerate_packed(
     vertices: int,
     colors: int,
     regime: str = "mixed",
-    max_word: int = 6,
     shard_count: int = 1,
     shard_index: int = 0,
     progress: Callable[[int, int], None] | None = None,
@@ -297,7 +296,7 @@ def enumerate_packed(
         sarr = np.ascontiguousarray(sarr[mask])
         survivors_t.append(tarr)
         survivors_s.append(sarr)
-        hashes.append(_trace_hash(tarr, sarr, max_word))
+        hashes.append(_trace_hash(tarr, sarr, DEFAULT_MAX_WORD))
         if progress is not None:
             progress(leaves, sum(len(t) for t in survivors_t))
         buf = array("b")
@@ -350,18 +349,16 @@ def enumerate_classes(
             yield packed.graph(i)
 
 
-def _with_signs(packed: PackedClasses, sign: int) -> PackedClasses:
-    """Signless classes with every loop given the same sign (+-1)."""
-    idx = np.arange(1, packed.vertices + 1, dtype=np.int8)
-    loops = packed.targets == idx
-    sarr = np.where(loops, np.int8(sign), np.int8(1))
-    return PackedClasses(
-        packed.vertices,
-        packed.colors,
-        packed.targets,
-        sarr,
-        _trace_hash(packed.targets, sarr, 6),
-    )
+def _hash_buckets(packed: PackedClasses) -> list[list[int]]:
+    """Ascending class indices sharing a trace hash, for each hash shared by
+    two or more classes, in ascending hash order."""
+    order = np.argsort(packed.trace_hash, kind="stable")
+    boundaries = np.nonzero(np.diff(packed.trace_hash[order]))[0] + 1
+    return [
+        [int(i) for i in group]
+        for group in np.split(order, boundaries)
+        if len(group) > 1
+    ]
 
 
 def find_pairs_packed(packed: PackedClasses) -> list[tuple[int, int]]:
@@ -371,15 +368,8 @@ def find_pairs_packed(packed: PackedClasses) -> list[tuple[int, int]]:
     further by the determinant probe, and every surviving candidate pair goes
     through the exact decision.
     """
-    order = np.argsort(packed.trace_hash, kind="stable")
-    sorted_hash = packed.trace_hash[order]
-    boundaries = np.nonzero(np.diff(sorted_hash))[0] + 1
-    groups = np.split(order, boundaries)
     pairs: list[tuple[int, int]] = []
-    for group in groups:
-        if len(group) < 2:
-            continue
-        members = [int(i) for i in group]
+    for members in _hash_buckets(packed):
         graphs = {i: packed.graph(i) for i in members}
         buckets: dict[object, list[int]] = {}
         if len(members) > 16:
@@ -414,25 +404,14 @@ def find_pairs(
             tarr[i, c] = g.adjacency[c].targets
             sarr[i, c] = g.adjacency[c].signs
     packed = PackedClasses(
-        vertices, colors, tarr, sarr, _trace_hash(tarr, sarr, 6)
+        vertices, colors, tarr, sarr, _trace_hash(tarr, sarr, DEFAULT_MAX_WORD)
     )
     return [(graphs[i], graphs[j]) for i, j in find_pairs_packed(packed)]
 
 
 def candidate_pairs_packed(packed: PackedClasses) -> list[tuple[int, int]]:
     """All index pairs sharing a trace-hash bucket (the decide workload)."""
-    order = np.argsort(packed.trace_hash, kind="stable")
-    sorted_hash = packed.trace_hash[order]
-    boundaries = np.nonzero(np.diff(sorted_hash))[0] + 1
-    out = []
-    for group in np.split(order, boundaries):
-        if len(group) < 2:
-            continue
-        members = sorted(int(i) for i in group)
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                out.append((members[a], members[b]))
-    return out
+    return [pair for members in _hash_buckets(packed) for pair in combinations(members, 2)]
 
 
 def _pair_key(
@@ -565,13 +544,11 @@ def census_details(
 ) -> tuple[CensusRow, list[tuple[LoopSignedGraph, LoopSignedGraph]]]:
     """Census row plus the transplantable pairs it counted.
 
-    For the homogeneous regimes the class counts are those of the signless
-    edge-coloured graphs; pairs are then counted on the all-Dirichlet or
-    all-Neumann assignment.
+    A homogeneous regime gives every loop the same sign, so its classes are
+    those of the signless edge-coloured graphs.
     """
     if regime not in ("mixed", "dirichlet", "neumann"):
         raise ValueError("census regime must be mixed, dirichlet or neumann")
-    base_regime = "mixed" if regime == "mixed" else "signless"
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -581,22 +558,16 @@ def census_details(
                 pool.map(
                     _shard_worker,
                     [
-                        (vertices, colors, base_regime, shard_count, i)
+                        (vertices, colors, regime, shard_count, i)
                         for i in range(shard_count)
                     ],
                 )
             )
         packed = _merge_shards(parts)
     else:
-        packed = enumerate_packed(
-            vertices, colors, base_regime, progress=progress
-        )
+        packed = enumerate_packed(vertices, colors, regime, progress=progress)
     class_count = len(packed)
     treelike_count = int(packed.treelike().sum())
-    if regime == "dirichlet":
-        packed = _with_signs(packed, -1)
-    elif regime == "neumann":
-        packed = _with_signs(packed, 1)
     return _census_from_packed(
         packed, vertices, colors, regime, class_count, treelike_count, quilts
     )

@@ -273,7 +273,8 @@ def is_isomorphic(g1: LoopSignedGraph, g2: LoopSignedGraph) -> tuple[int, ...] |
     for v, r in enumerate(c2.relabeling, start=1):
         inv2[r - 1] = v
     pi = tuple(inv2[c1.relabeling[v] - 1] for v in range(g1.vertices))
-    assert permute(g1, pi) == g2
+    if permute(g1, pi) != g2:
+        raise RuntimeError("equal canonical codes but the relabeling is no isomorphism")
     return pi
 
 

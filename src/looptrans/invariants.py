@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import SignedPerm, compose, trace
+from .algebra import SignedPerm, compose, trace, word_product
 from .graph import LoopSignedGraph, validate
 
 PRIME_MODULUS = (1 << 61) - 1
@@ -47,13 +47,7 @@ class SpectralReport:
 
 def word_trace(g: LoopSignedGraph, word: Sequence[int]) -> int:
     """Trace of the product A^{c_l} ... A^{c_1} for the word c_1 .. c_l."""
-    for c in word:
-        if not 1 <= c <= g.colors:
-            raise ValueError(f"colour {c} out of range 1..{g.colors}")
-    acc = SignedPerm.identity(g.vertices)
-    for c in word:
-        acc = compose(g.color(c), acc)
-    return trace(acc)
+    return trace(word_product(g.adjacency, word))
 
 
 def necklace_canonical(word: Sequence[int]) -> tuple[int, ...]:

@@ -13,14 +13,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .algebra import SignedPerm, compose, inverse
+from .algebra import (
+    DEFAULT_CLOSURE_CAP,
+    Code,
+    SignedPerm,
+    bfs_closure,
+    compose,
+    compose_codes,
+    inverse_code,
+    word_product,
+)
 from .graph import LoopSignedGraph, components, validate
-
-DEFAULT_GROUP_CAP = 2_000_000
-
-
-class GroupCapExceeded(RuntimeError):
-    """Group closure grew past the configured element cap."""
 
 
 @dataclass(frozen=True)
@@ -36,28 +39,34 @@ class GroupClosure:
     words: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_index", {p.encode(): i for i, p in enumerate(self.elements)}
-        )
+        codes = tuple(p.encode() for p in self.elements)
+        object.__setattr__(self, "_codes", codes)
+        object.__setattr__(self, "_index", {c: i for i, c in enumerate(codes)})
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
-    def index_of(self, p: SignedPerm) -> int:
-        idx = self._index.get(p.encode())  # type: ignore[attr-defined]
+    def _lookup(self, code: Code) -> int:
+        idx = self._index.get(code)  # type: ignore[attr-defined]
         if idx is None:
             raise KeyError("element not in group")
         return idx
 
+    def index_of(self, p: SignedPerm) -> int:
+        return self._lookup(p.encode())
+
     def mul(self, i: int, j: int) -> int:
-        return self.index_of(compose(self.elements[i], self.elements[j]))
+        codes = self._codes  # type: ignore[attr-defined]
+        return self._lookup(compose_codes(codes[i], codes[j]))
 
     def inv(self, i: int) -> int:
-        return self.index_of(inverse(self.elements[i]))
+        return self._lookup(inverse_code(self._codes[i]))  # type: ignore[attr-defined]
 
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
         """Classes by orbit closure under conjugation by the generators."""
+        codes = self._codes  # type: ignore[attr-defined]
+        gens = [(c, inverse_code(c)) for c in (g.encode() for g in self.generators)]
         seen = [False] * self.order
         classes = []
         for start in range(self.order):
@@ -69,10 +78,8 @@ class GroupClosure:
             while head < len(orbit):
                 x = orbit[head]
                 head += 1
-                for gen in self.generators:
-                    y = self.index_of(
-                        compose(compose(gen, self.elements[x]), inverse(gen))
-                    )
+                for gen, gen_inv in gens:
+                    y = self._lookup(compose_codes(compose_codes(gen, codes[x]), gen_inv))
                     if not seen[y]:
                         seen[y] = True
                         orbit.append(y)
@@ -81,43 +88,15 @@ class GroupClosure:
 
 
 def closure(
-    generators: Sequence[SignedPerm], cap: int = DEFAULT_GROUP_CAP
+    generators: Sequence[SignedPerm], cap: int = DEFAULT_CLOSURE_CAP
 ) -> GroupClosure:
-    """Breadth-first closure of the generators under left multiplication."""
+    """The group the generators generate, in breadth-first order."""
     if not generators:
         raise ValueError("need at least one generator")
-    size = generators[0].size
-    if any(g.size != size for g in generators):
-        raise ValueError("generators act on different point counts")
-    ident = SignedPerm.identity(size)
-    elements = [ident]
-    words: list[tuple[int, ...]] = [()]
-    index = {ident.encode(): 0}
-    head = 0
-    while head < len(elements):
-        current = elements[head]
-        word = words[head]
-        head += 1
-        for c, gen in enumerate(generators, start=1):
-            nxt = compose(gen, current)
-            key = nxt.encode()
-            if key not in index:
-                index[key] = len(elements)
-                elements.append(nxt)
-                words.append(word + (c,))
-                if len(elements) > cap:
-                    raise GroupCapExceeded(f"group closure exceeded cap {cap}")
-    return GroupClosure(tuple(generators), tuple(elements), tuple(words))
-
-
-def element_of_word(group: GroupClosure, word: Sequence[int]) -> int:
-    """Index of the product A^{c_l} ... A^{c_1} for the word c_1 .. c_l."""
-    acc = SignedPerm.identity(group.generators[0].size)
-    for c in word:
-        if not 1 <= c <= len(group.generators):
-            raise ValueError(f"letter {c} out of range")
-        acc = compose(group.generators[c - 1], acc)
-    return group.index_of(acc)
+    codes, words = zip(*bfs_closure([g.encode() for g in generators], cap))
+    return GroupClosure(
+        tuple(generators), tuple(SignedPerm.decode(c) for c in codes), words
+    )
 
 
 @dataclass(frozen=True)
@@ -242,7 +221,7 @@ def schreier_graph(
 
 
 def associated_pairs(
-    g: LoopSignedGraph, cap: int = DEFAULT_GROUP_CAP
+    g: LoopSignedGraph, cap: int = DEFAULT_CLOSURE_CAP
 ) -> tuple[GroupClosure, tuple[SubCharPair, ...]]:
     """The group generated by the adjacency matrices and one pair per component.
 
@@ -325,8 +304,9 @@ def pair_from_words(
     """Build a subgroup/character pair from witness words and +-1 values."""
     if len(words) != len(values):
         raise ValueError("need one character value per word")
-    sub = frozenset(element_of_word(group, w) for w in words)
-    char = {element_of_word(group, w): v for w, v in zip(words, values)}
+    index = [group.index_of(word_product(group.generators, w)) for w in words]
+    sub = frozenset(index)
+    char = dict(zip(index, values))
     pair = SubCharPair(sub, char)
     pair.check(group)
     return pair

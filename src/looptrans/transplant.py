@@ -13,9 +13,9 @@ routes are implemented:
   dim Hom(1,1) = |m|^2, dim Hom(2,2) = |n|^2, and |m - n|^2 = 0 holds exactly
   when all three are equal.
 
-* the group route closes the generator pairs (A^c, B^c) under multiplication
-  and checks that the pairing is a bijection with equal traces throughout,
-  which is the word-trace criterion in its group form.
+* the group route closes the generator pairs (A^c, B^c) and checks that the
+  pairing is a bijection with equal traces throughout, which is the
+  word-trace criterion in its group form.
 
 Both routes are exact; they agree on every input (a tested invariant).
 """
@@ -25,17 +25,19 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
-from typing import Literal, Sequence
+from typing import Iterator, Literal, Sequence
 
-from .algebra import RatMatrix, SignedPerm, compose, int_det, trace
+from .algebra import (
+    DEFAULT_CLOSURE_CAP,
+    Code,
+    RatMatrix,
+    SignedPerm,
+    bfs_closure,
+    int_det,
+)
 from .graph import LoopSignedGraph, validate
 
-DEFAULT_CLOSURE_CAP = 2_000_000
 _WITNESS_RETRIES = 32
-
-
-class ClosureCapExceeded(RuntimeError):
-    """Group closure grew past the configured element cap."""
 
 
 @dataclass(frozen=True)
@@ -69,14 +71,6 @@ class PairClosure:
     certificate: Certificate | None = None
 
 
-def word_matrix(g: LoopSignedGraph, word: Sequence[int]) -> SignedPerm:
-    """Product A^{c_l} ... A^{c_1} for the word c_1 .. c_l."""
-    acc = SignedPerm.identity(g.vertices)
-    for c in word:
-        acc = compose(g.color(c), acc)
-    return acc
-
-
 def _check_compatible(g1: LoopSignedGraph, g2: LoopSignedGraph) -> None:
     for g in (g1, g2):
         err = validate(g)
@@ -86,12 +80,38 @@ def _check_compatible(g1: LoopSignedGraph, g2: LoopSignedGraph) -> None:
         raise ValueError(f"colour counts differ: {g1.colors} vs {g2.colors}")
 
 
+def _pair_stream(
+    g1: LoopSignedGraph, g2: LoopSignedGraph, cap: int
+) -> Iterator[tuple[Code, Code, tuple[int, ...], tuple[int, ...] | None]]:
+    """The pair closure as ``(A-half, B-half, word, clash)`` in BFS order.
+
+    The pair closure is the closure of the diagonal generators A^c + B^c
+    acting on 2n points, with B on points n+1 .. 2n.  ``clash`` is None while
+    the pairing is a bijection; otherwise it is the word of an earlier
+    element sharing one half with this one, and the stream ends there.
+    """
+    n = g1.vertices
+    gens = [
+        a.encode() + tuple(x + n if x > 0 else x - n for x in b.encode())
+        for a, b in zip(g1.adjacency, g2.adjacency)
+    ]
+    left: dict[Code, tuple[int, ...]] = {}
+    right: dict[Code, tuple[int, ...]] = {}
+    for elem, word in bfs_closure(gens, cap):
+        a, b = elem[:n], elem[n:]
+        clash = left.get(a, right.get(b))
+        yield a, b, word, clash
+        if clash is not None:
+            return
+        left[a] = right[b] = word
+
+
 def pair_closure(
     g1: LoopSignedGraph,
     g2: LoopSignedGraph,
     cap: int = DEFAULT_CLOSURE_CAP,
 ) -> PairClosure:
-    """Breadth-first closure of {(A^c, B^c)} under left multiplication.
+    """Closure of {(A^c, B^c)} under left multiplication.
 
     Returns an inconsistent closure as soon as two words give equal first
     components but different second components (or vice versa).
@@ -99,100 +119,41 @@ def pair_closure(
     _check_compatible(g1, g2)
     if g1.vertices != g2.vertices:
         raise ValueError("pair closure needs equal vertex counts")
-    gens = [(g1.color(c), g2.color(c)) for c in range(1, g1.colors + 1)]
-    ident = (SignedPerm.identity(g1.vertices), SignedPerm.identity(g2.vertices))
-    left: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
-    right: dict[tuple[int, ...], tuple[int, ...]] = {}
-    elements: list[tuple[SignedPerm, SignedPerm]] = []
-    words: list[tuple[int, ...]] = []
-
-    def push(a: SignedPerm, b: SignedPerm, word: tuple[int, ...]) -> Certificate | None:
-        ka, kb = a.encode(), b.encode()
-        if ka in left:
-            kb_seen, word_seen = left[ka]
-            if kb_seen != kb:
-                return Certificate("inconsistent", word_seen, word)
-            return None
-        if kb in right:
-            return Certificate("inconsistent", right[kb], word)
-        left[ka] = (kb, word)
-        right[kb] = word
-        elements.append((a, b))
+    n = g1.vertices
+    elements = []
+    words = []
+    for a, b, word, clash in _pair_stream(g1, g2, cap):
+        if clash is not None:
+            cert = Certificate("inconsistent", clash, word)
+            return PairClosure(tuple(elements), tuple(words), False, cert)
+        b = tuple(x - n if x > 0 else x + n for x in b)
+        elements.append((SignedPerm.decode(a), SignedPerm.decode(b)))
         words.append(word)
-        return None
-
-    push(*ident, ())
-    head = 0
-    while head < len(elements):
-        a, b = elements[head]
-        word = words[head]
-        head += 1
-        for c, (ga, gb) in enumerate(gens, start=1):
-            bad = push(compose(ga, a), compose(gb, b), word + (c,))
-            if bad is not None:
-                return PairClosure(tuple(elements), tuple(words), False, bad)
-        if len(elements) > cap:
-            raise ClosureCapExceeded(f"pair closure exceeded cap {cap}")
     return PairClosure(tuple(elements), tuple(words), True)
+
+
+def _signed_fixed_points(half: Code, first: int) -> int:
+    """Trace of one half of an encoded direct sum starting at point ``first``."""
+    return sum(1 if x > 0 else -1 for i, x in enumerate(half, first) if abs(x) == i)
 
 
 def _group_verdict(
     g1: LoopSignedGraph, g2: LoopSignedGraph, cap: int
 ) -> Certificate | None:
-    """BFS over the pair closure, stopping at the first violation.
-
-    Returns None when the closure is consistent with equal traces throughout
-    (the pair is transplantable), else a certificate.
+    """None when the pair closure is consistent with equal traces throughout
+    (the pair is transplantable), else a certificate for the first violation.
     """
-    gens = [(g1.color(c), g2.color(c)) for c in range(1, g1.colors + 1)]
-    ident = (SignedPerm.identity(g1.vertices), SignedPerm.identity(g2.vertices))
-    left: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
-    right: dict[tuple[int, ...], tuple[int, ...]] = {}
-    elements = [ident]
-    words: list[tuple[int, ...]] = [()]
-    left[ident[0].encode()] = (ident[1].encode(), ())
-    right[ident[1].encode()] = ()
-    head = 0
-    while head < len(elements):
-        a, b = elements[head]
-        word = words[head]
-        head += 1
-        for c, (ga, gb) in enumerate(gens, start=1):
-            na, nb = compose(ga, a), compose(gb, b)
-            nword = word + (c,)
-            ka, kb = na.encode(), nb.encode()
-            if ka in left:
-                kb_seen, word_seen = left[ka]
-                if kb_seen != kb:
-                    return _normalize_certificate(
-                        Certificate("inconsistent", word_seen, nword)
-                    )
-                continue
-            if kb in right:
-                return _normalize_certificate(
-                    Certificate("inconsistent", right[kb], nword)
-                )
-            if trace(na) != trace(nb):
-                return Certificate("trace", nword)
-            left[ka] = (kb, nword)
-            right[kb] = nword
-            elements.append((na, nb))
-            words.append(nword)
-        if len(elements) > cap:
-            raise ClosureCapExceeded(f"pair closure exceeded cap {cap}")
+    n = g1.vertices
+    for a, b, word, clash in _pair_stream(g1, g2, cap):
+        if clash is not None:
+            # The two words give the same element on one side only, so the
+            # first followed by the second reversed is the identity on that
+            # side (generators are involutions) but not on the other: its
+            # traces differ.
+            return Certificate("trace", clash + tuple(reversed(word)))
+        if _signed_fixed_points(a, 1) != _signed_fixed_points(b, n + 1):
+            return Certificate("trace", word)
     return None
-
-
-def _normalize_certificate(closure_cert: Certificate) -> Certificate:
-    """Turn an inconsistency into a single differing-trace word.
-
-    If words u and v map to the same element on one side only, then u
-    followed by v reversed maps to the identity on that side (generators are
-    involutions) but not on the other, so its traces differ.
-    """
-    u, v = closure_cert.word, closure_cert.other_word
-    assert v is not None
-    return Certificate("trace", u + tuple(reversed(v)))
 
 
 class _SignedUnionFind:
@@ -373,17 +334,6 @@ def verify_witness(g1: LoopSignedGraph, g2: LoopSignedGraph, t: RatMatrix) -> bo
     return t.is_invertible()
 
 
-def _certificate_search(
-    g1: LoopSignedGraph, g2: LoopSignedGraph, cap: int
-) -> Certificate:
-    """Find a word certificate for a known-negative pair."""
-    if g1.vertices != g2.vertices:
-        return Certificate("trace", ())
-    cert = _group_verdict(g1, g2, cap)
-    assert cert is not None, "negative verdict must produce a certificate"
-    return cert
-
-
 def decide(
     g1: LoopSignedGraph,
     g2: LoopSignedGraph,
@@ -401,28 +351,21 @@ def decide(
     _check_compatible(g1, g2)
     if method not in ("auto", "group", "orbit"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "group":
-        if g1.vertices != g2.vertices:
-            return Decision(False, "group", certificate=Certificate("trace", ()))
+    route: Literal["group", "orbit"] = "group" if method == "group" else "orbit"
+    if g1.vertices != g2.vertices:
+        return Decision(False, route, certificate=Certificate("trace", ()))
+    if route == "group" or not _equivalent_representations(g1, g2):
         cert = _group_verdict(g1, g2, cap)
         if cert is not None:
-            return Decision(False, "group", certificate=cert)
-        if g1 == g2:
-            return Decision(True, "group", witness=RatMatrix.identity(g1.vertices))
-        witness = _invertible_combination(
-            intertwiner_space(g1, g2), g1.vertices, seed
-        )
-        assert witness is not None, "equivalent representations admit a witness"
-        return Decision(True, "group", witness=witness)
-
-    if not _equivalent_representations(g1, g2):
-        cert = _certificate_search(g1, g2, cap)
-        return Decision(False, "orbit", certificate=cert)
+            return Decision(False, route, certificate=cert)
+        if route == "orbit":
+            raise RuntimeError("the group route found no certificate for a negative verdict")
     if g1 == g2:
-        return Decision(True, "orbit", witness=RatMatrix.identity(g1.vertices))
+        return Decision(True, route, witness=RatMatrix.identity(g1.vertices))
     witness = _invertible_combination(intertwiner_space(g1, g2), g1.vertices, seed)
-    assert witness is not None, "equivalent representations admit a witness"
-    return Decision(True, "orbit", witness=witness)
+    if witness is None:
+        raise RuntimeError("no invertible intertwiner found for a transplantable pair")
+    return Decision(True, route, witness=witness)
 
 
 def transplantable(g1: LoopSignedGraph, g2: LoopSignedGraph) -> bool:

@@ -1,11 +1,13 @@
+import functools
 import json
 
 import pytest
 
+from looptrans import cli
 from looptrans.cli import main
 from looptrans.catalog import catalog
 from looptrans.formats import dumps_json, parse_graph, parse_witness
-from looptrans.transplant import verify_witness
+from looptrans.transplant import decide, verify_witness
 
 
 @pytest.fixture()
@@ -48,6 +50,13 @@ def test_check_negative_exit_code(tmp_path, capsys):
 def test_check_group_method(gww_files):
     a, b = gww_files
     assert main(["check", str(a), str(b), "--method", "group"]) == 0
+
+
+def test_closure_cap_exit_code(gww_files, monkeypatch, capsys):
+    a, b = gww_files
+    monkeypatch.setattr(cli, "decide", functools.partial(decide, cap=100))
+    assert main(["check", str(a), str(b), "--method", "group"]) == 2
+    assert "cap" in capsys.readouterr().err
 
 
 def test_malformed_input_exit_code(tmp_path, capsys):

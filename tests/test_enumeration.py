@@ -25,7 +25,7 @@ from looptrans.enumeration import (
     find_pairs,
     quilt_classes,
 )
-from looptrans.invariants import trace_profile
+from looptrans.invariants import DEFAULT_MAX_WORD, trace_profile
 from looptrans.transplant import transplantable
 
 
@@ -113,18 +113,18 @@ def test_shard_independence():
 
 def test_trace_hash_matches_trace_profile():
     packed = enumerate_packed(3, 3, "mixed")
-    # equal trace profiles up to length 6 must give equal hashes and
-    # differing profiles essentially always differ
-    profiles = [
-        tuple(sorted(trace_profile(packed.graph(i), 6).items()))
-        for i in range(len(packed))
-    ]
-    by_profile = {}
-    for i, prof in enumerate(profiles):
-        by_profile.setdefault(prof, []).append(i)
-    for members in by_profile.values():
-        hashes = {int(packed.trace_hash[i]) for i in members}
-        assert len(hashes) == 1
+    # equal trace profiles up to length L must give equal hashes, and here
+    # differing profiles give differing hashes too
+    for max_len in (0, 1, 2, 6):
+        hashes = _trace_hash(packed.targets, packed.signs, max_len)
+        if max_len == DEFAULT_MAX_WORD:
+            assert np.array_equal(hashes, packed.trace_hash)
+        by_profile = {}
+        for i in range(len(packed)):
+            prof = tuple(sorted(trace_profile(packed.graph(i), max_len).items()))
+            by_profile.setdefault(prof, set()).add(int(hashes[i]))
+        assert all(len(h) == 1 for h in by_profile.values())
+        assert len(set(hashes.tolist())) == len(by_profile)
 
 
 def test_canonical_mask_matches_scalar():

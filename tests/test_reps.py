@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from looptrans.algebra import SignedPerm, compose, inverse
+from looptrans.algebra import SignedPerm, compose, inverse, word_product
 from looptrans.graph import LoopSignedGraph, components, is_isomorphic, subgraph
 from looptrans.reps import (
     NoBipartiteSystem,
@@ -11,7 +11,6 @@ from looptrans.reps import (
     cayley_graph,
     characters_equal,
     closure,
-    element_of_word,
     gassmann_check,
     induced_character,
     pair_from_words,
@@ -44,7 +43,7 @@ def test_closure_orders(d4, gww):
 def test_closure_words_reproduce_elements(d4):
     _, group, _, _ = d4
     for i, word in enumerate(group.words):
-        assert element_of_word(group, word) == i
+        assert group.index_of(word_product(group.generators, word)) == i
 
 
 def test_conjugacy_classes_against_brute_force(d4):

@@ -1,10 +1,17 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from looptrans.algebra import RatMatrix
+import looptrans
+from looptrans import transplant
+from looptrans.algebra import ClosureCapExceeded, RatMatrix, word_product
 from looptrans.graph import LoopSignedGraph
 from looptrans.invariants import word_trace
+from looptrans.reps import closure as group_closure
 from looptrans.transplant import (
     decide,
     intertwiner_space,
@@ -12,7 +19,6 @@ from looptrans.transplant import (
     pairwise_check,
     transplantable,
     verify_witness,
-    word_matrix,
 )
 
 from conftest import random_graph
@@ -41,8 +47,29 @@ def test_pair_closure_word_witnesses(square_triangle):
     s, t = square_triangle.graphs
     closure = pair_closure(s, t)
     for (a, b), word in zip(closure.elements, closure.words):
-        assert word_matrix(s, word) == a
-        assert word_matrix(t, word) == b
+        assert word_product(s.adjacency, word) == a
+        assert word_product(t.adjacency, word) == b
+
+
+def test_pair_closure_of_a_graph_with_itself_is_its_group(gww, square_triangle):
+    # a pair closure is the closure of the diagonal generators, so pairing a
+    # graph with itself walks its group in the same order with the same words
+    for g in (gww.graphs[0], square_triangle.graphs[1]):
+        pc = pair_closure(g, g)
+        group = group_closure(list(g.adjacency))
+        assert [a for a, _ in pc.elements] == list(group.elements)
+        assert pc.words == group.words
+
+
+def test_small_cap_raises_on_every_closure(gww):
+    g1, g2 = gww.graphs  # their group has 336 elements
+    with pytest.raises(ClosureCapExceeded):
+        group_closure(list(g1.adjacency), cap=100)
+    with pytest.raises(ClosureCapExceeded):
+        pair_closure(g1, g2, cap=100)
+    with pytest.raises(ClosureCapExceeded):
+        decide(g1, g2, method="group", cap=100)
+    assert group_closure(list(g1.adjacency), cap=336).order == 336
 
 
 def test_pair_closure_inconsistent():
@@ -187,3 +214,39 @@ def test_intertwiner_invertible_implies_equal_word_traces(square_triangle):
     for _ in range(30):
         word = tuple(rng.randint(1, 2) for _ in range(rng.randint(0, 8)))
         assert word_trace(s, word) == word_trace(t, word)
+
+
+def test_missing_witness_raises(gww, monkeypatch):
+    monkeypatch.setattr(transplant, "_invertible_combination", lambda *args: None)
+    for method in ("auto", "group"):
+        with pytest.raises(RuntimeError):
+            decide(*gww.graphs, method=method)
+
+
+_OPTIMIZED_SCRIPT = """
+from looptrans.catalog import catalog
+from looptrans.graph import LoopSignedGraph
+from looptrans.invariants import word_trace
+from looptrans.transplant import decide, verify_witness
+
+assert False, "asserts must be stripped"
+g1, g2 = catalog("gww").graphs
+d = LoopSignedGraph.build(1, [([], {1: "D"})])
+n = LoopSignedGraph.build(1, [([], {1: "N"})])
+for method in ("auto", "group"):
+    yes = decide(g1, g2, method=method)
+    no = decide(d, n, method=method)
+    word = no.certificate.word
+    print(method, yes.verdict, verify_witness(g1, g2, yes.witness),
+          no.verdict, word_trace(d, word) != word_trace(n, word))
+"""
+
+
+def test_decide_under_optimized_python():
+    src = str(Path(looptrans.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMIZED_SCRIPT],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    ).stdout.split("\n")
+    assert out[:2] == ["auto True True False True", "group True True False True"]

@@ -232,7 +232,9 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
     except KeyError as exc:
         raise InputError(str(exc)) from exc
     for i, g in enumerate(entry.graphs, start=1):
-        assert validate(g) is None
+        err = validate(g)
+        if err is not None:
+            raise RuntimeError(err)
         print(f"# graph {i}")
         sys.stdout.write(dumps_cycles(g))
     if entry.witness is not None:

@@ -229,7 +229,8 @@ def _component_code(g: LoopSignedGraph, comp: Sequence[int]) -> tuple[bytes, lis
         bcode = bytes(code)
         if best is None or bcode < best:
             best, best_order = bcode, order
-    assert best is not None and best_order is not None
+    if best is None or best_order is None:
+        raise RuntimeError("no start vertex gave a canonical code")
     return best, best_order
 
 

@@ -216,7 +216,8 @@ def schreier_graph(
     colors = [(edges[c], loops[c]) for c in range(len(generators))]
     g = LoopSignedGraph.build(len(reps), colors)
     err = validate(g)
-    assert err is None, err
+    if err is not None:
+        raise RuntimeError(err)
     return g
 
 
@@ -261,7 +262,8 @@ def induced_character(group: GroupClosure, pair: SubCharPair) -> dict[int, int]:
             conj = group.mul(group.mul(i, p), group.inv(i))
             if conj in h:
                 total += pair.character[conj]
-        assert total % len(h) == 0
+        if total % len(h):
+            raise RuntimeError("induced character value is not an integer")
         out[p] = total // len(h)
     return out
 

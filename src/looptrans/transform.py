@@ -172,7 +172,8 @@ def braid(g: LoopSignedGraph, c: int, conjugator: int) -> LoopSignedGraph:
         perms.append(SignedPerm(p.targets, new_signs))
     out = LoopSignedGraph(g.vertices, tuple(perms))
     err = validate(out)
-    assert err is None, err
+    if err is not None:
+        raise RuntimeError(err)
     return out
 
 
@@ -342,7 +343,8 @@ def substitute(plan: SubstitutionPlan) -> LoopSignedGraph:
         perms.append(SignedPerm(tuple(targets), tuple(signs)))
     out = LoopSignedGraph(size, tuple(perms))
     err = validate(out)
-    assert err is None, err
+    if err is not None:
+        raise RuntimeError(err)
     return out
 
 

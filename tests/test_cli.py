@@ -83,6 +83,11 @@ def test_census_treelike_flag(capsys):
     assert "treelike classes=30" in out and "pairs=6" in out
 
 
+def test_census_threads_below_one_exit_code(capsys):
+    assert main(["census", "--vertices", "2", "--colors", "3", "--threads", "0"]) == 2
+    assert "threads" in capsys.readouterr().err
+
+
 def test_invariants_output(gww_files, capsys):
     a, _ = gww_files
     assert main(["invariants", str(a), "--max-word", "2", "--seed", "5"]) == 0

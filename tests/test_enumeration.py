@@ -3,17 +3,22 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from looptrans import enumeration
 from looptrans.algebra import SignedPerm
+from looptrans.catalog import CATALOG_NAMES, catalog
 from looptrans.graph import (
     LoopSignedGraph,
     canonical_form,
     is_canonical,
     is_connected,
     is_treelike,
+    permute,
 )
 from looptrans.enumeration import (
     PackedClasses,
+    _bracelet_trie,
     _canonical_mask,
     _merge_shards,
     _trace_hash,
@@ -25,8 +30,9 @@ from looptrans.enumeration import (
     find_pairs,
     quilt_classes,
 )
-from looptrans.invariants import DEFAULT_MAX_WORD, trace_profile
+from looptrans.invariants import DEFAULT_MAX_WORD, trace_profile, word_trace
 from looptrans.transplant import transplantable
+from conftest import random_graph
 
 
 def _all_symmetric_involutions(n, signs):
@@ -127,11 +133,121 @@ def test_trace_hash_matches_trace_profile():
         assert len(set(hashes.tolist())) == len(by_profile)
 
 
+def _full_word_trace_hash(tarr, sarr, max_len):
+    """Reference oracle: the rolling hash over every word of length 1 .. max_len."""
+    n, c_count, v_count = tarr.shape
+    idx = np.arange(v_count, dtype=np.int8)
+    t0 = tarr - 1
+    h = np.zeros(n, np.uint64)
+    mul = np.uint64(1099511628211)
+
+    def visit(tw, sw):
+        nonlocal h
+        tr = (sw * (tw == idx)).sum(axis=1, dtype=np.int64)
+        h = h * mul + (tr + (v_count + 1)).astype(np.uint64)
+
+    def rec(tw, sw, depth):
+        if depth:
+            visit(tw, sw)
+        if depth >= max_len:
+            return
+        for c in range(c_count):
+            tc = t0[:, c, :]
+            tn = np.take_along_axis(tw, tc, axis=1)
+            sn = sarr[:, c, :] * np.take_along_axis(sw, tc, axis=1)
+            rec(tn, sn, depth + 1)
+
+    rec(np.broadcast_to(idx, (n, v_count)), np.ones((n, v_count), np.int8), 0)
+    return h
+
+
+def _partition(hashes):
+    groups = {}
+    for i, h in enumerate(hashes.tolist()):
+        groups.setdefault(h, set()).add(i)
+    return {frozenset(g) for g in groups.values()}
+
+
+def _pack(graphs):
+    tarr = np.array([[p.targets for p in g.adjacency] for g in graphs], np.int8)
+    sarr = np.array([[p.signs for p in g.adjacency] for g in graphs], np.int8)
+    return tarr, sarr
+
+
+def _bracelet_representative(word):
+    """Least rotation or reversal of the word's cyclic reduction (A^c A^c = I)."""
+    reduced = []
+    for c in word:
+        if reduced and reduced[-1] == c:
+            reduced.pop()
+        else:
+            reduced.append(c)
+    while len(reduced) > 1 and reduced[0] == reduced[-1]:
+        reduced = reduced[1:-1]
+    w = tuple(reduced)
+    turns = [w[i:] + w[:i] for i in range(len(w))] or [w]
+    return min(turns + [t[::-1] for t in turns])
+
+
+@pytest.mark.parametrize("vertices,colors", [(5, 3), (4, 2), (4, 4)])
+def test_trace_hash_partition_matches_full_word_hash(vertices, colors):
+    packed = enumerate_packed(vertices, colors, "mixed")
+    full = _full_word_trace_hash(packed.targets, packed.signs, DEFAULT_MAX_WORD)
+    assert _partition(packed.trace_hash) == _partition(full)
+
+
+@pytest.mark.parametrize("colors,count", [(2, 5), (3, 29), (4, 151)])
+def test_bracelet_representative_counts(colors, count):
+    trie = _bracelet_trie(colors, DEFAULT_MAX_WORD)
+    assert sum(is_rep for _, _, is_rep in trie) == count
+    if colors == 3:
+        assert len(trie) == 43
+
+
+def test_every_word_has_its_representative_trace():
+    rng = random.Random(44)
+    graphs = [g for name in CATALOG_NAMES for g in catalog(name).graphs]
+    graphs += [random_graph(rng, rng.randint(2, 7), 3) for _ in range(6)]
+    for g in graphs:
+        trie = _bracelet_trie(g.colors, DEFAULT_MAX_WORD)
+        reps = set()
+        word = []
+        for depth, c, is_rep in trie:
+            del word[depth - 1 :]
+            word.append(c + 1)
+            if is_rep:
+                reps.add(tuple(word))
+        for length in range(1, DEFAULT_MAX_WORD + 1):
+            for w in product(range(1, g.colors + 1), repeat=length):
+                rep = _bracelet_representative(w)
+                assert not rep or rep in reps
+                expected = g.vertices if not rep else word_trace(g, rep)
+                assert word_trace(g, w) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    vertices=st.integers(1, 7),
+    colors=st.integers(2, 4),
+    data=st.data(),
+)
+def test_trace_hash_is_relabelling_invariant(seed, vertices, colors, data):
+    rng = random.Random(seed)
+    g = random_graph(rng, vertices, colors)
+    while not is_connected(g):
+        g = random_graph(rng, vertices, colors)
+    relabel = data.draw(st.permutations(range(1, vertices + 1)))
+    h = permute(g, tuple(relabel))
+    tarr, sarr = _pack([g, h])
+    hashes = _trace_hash(tarr, sarr, DEFAULT_MAX_WORD)
+    assert hashes[0] == hashes[1]
+
+
 def test_canonical_mask_matches_scalar():
     # the mask expects its input rows to be BFS-consistent from vertex 1,
     # which is what the generator emits; relabel random graphs accordingly
-    from looptrans.graph import _bfs_order, permute
-    from conftest import random_graph
+    from looptrans.graph import _bfs_order
 
     rng = random.Random(70)
     rows_t = []
@@ -222,6 +338,37 @@ def test_census_rejects_unknown_regime():
 
 def test_census_threads_match():
     assert census(3, 3, "mixed", threads=2) == census(3, 3, "mixed")
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a process pool was started")
+
+
+def test_census_rejects_threads_below_one(monkeypatch):
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    for threads in (0, -3):
+        with pytest.raises(ValueError, match="threads"):
+            census_details(2, 3, "mixed", threads=threads)
+
+
+def test_census_caps_threads_at_cpu_count(monkeypatch):
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 1)
+    assert census(3, 3, "mixed", threads=64) == census(3, 3, "mixed")
+
+
+def test_progress_reported_with_threads(monkeypatch):
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+    single, sharded = [], []
+    census_details(4, 3, "mixed", progress=lambda *t: single.append(t))
+    census_details(4, 3, "mixed", threads=2, progress=lambda *t: sharded.append(t))
+    assert len(sharded) == 8  # one call per shard, four shards per thread
+    assert sharded == sorted(sharded)
+    assert sharded[-1] == single[-1]
 
 
 def test_found_pairs_share_trace_profiles():

@@ -7,6 +7,9 @@ matrix with single non-zero entry ``signs[i-1]`` at position
 The group closure engine :func:`bfs_closure`, :func:`compose_codes` and
 :func:`inverse_code` work on the :meth:`SignedPerm.encode` form instead: the
 targets with the signs folded in, one plain tuple.
+:func:`diagonal_normalizer` solves for the diagonal sign matrix that clears
+negative off-diagonal entries; sign swaps, braids and the bipartite test of
+the loopless version all use it.
 
 All arithmetic is exact; rational matrices use :class:`fractions.Fraction`
 throughout and no floating point appears anywhere in this module.
@@ -89,6 +92,9 @@ class SignedPerm:
             out[2 * i] = 2 * (t - 1) + flip
             out[2 * i + 1] = 2 * (t - 1) + (1 - flip)
         return tuple(out)
+
+    def __neg__(self) -> "SignedPerm":
+        return SignedPerm(self.targets, tuple(-s for s in self.signs))
 
     def is_identity(self) -> bool:
         return all(t == i + 1 and s == 1 for i, (t, s) in enumerate(zip(self.targets, self.signs)))
@@ -234,6 +240,37 @@ def conjugate_by_diagonal(p: SignedPerm, signs: Sequence[int]) -> SignedPerm:
         s * signs[i] * signs[t - 1] for i, (t, s) in enumerate(zip(p.targets, p.signs))
     )
     return SignedPerm(p.targets, new_signs)
+
+
+def diagonal_normalizer(perms: Sequence[SignedPerm]) -> tuple[int, ...] | None:
+    """The +-1 diagonal D with no negative off-diagonal entry in any ``D p D``.
+
+    An entry s at (i, t) of p asks for d_i * d_t = s.  D is +1 at the smallest
+    point of each orbit of the group the perms generate, which makes it
+    unique; returns None when the constraints contradict each other.
+    """
+    n = perms[0].size if perms else 0
+    if any(p.size != n for p in perms):
+        raise SizeMismatchError("signed permutations act on different point counts")
+    signs = [0] * (n + 1)
+    for start in range(1, n + 1):
+        if signs[start]:
+            continue
+        signs[start] = 1
+        queue = deque([start])
+        while queue:
+            v = queue.popleft()
+            for p in perms:
+                t = p.targets[v - 1]
+                if t == v:
+                    continue
+                want = signs[v] * p.signs[v - 1]
+                if not signs[t]:
+                    signs[t] = want
+                    queue.append(t)
+                elif signs[t] != want:
+                    return None
+    return tuple(signs[1:])
 
 
 def _as_fraction(x: Rational) -> Fraction:

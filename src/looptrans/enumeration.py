@@ -462,12 +462,6 @@ def _permute_colours(g: LoopSignedGraph, perm: Sequence[int]) -> LoopSignedGraph
     return LoopSignedGraph(g.vertices, tuple(g.adjacency[p - 1] for p in perm))
 
 
-def _canonicalize(g: LoopSignedGraph) -> LoopSignedGraph:
-    from .graph import permute
-
-    return permute(g, canonical_form(g).relabeling)
-
-
 class _UnionFind:
     def __init__(self, n: int) -> None:
         self.parent = list(range(n))
@@ -536,13 +530,7 @@ def quilt_classes(
 
 
 def _census_from_packed(
-    packed: PackedClasses,
-    vertices: int,
-    colors: int,
-    regime: str,
-    class_count: int,
-    treelike_count: int,
-    quilts: bool,
+    packed: PackedClasses, regime: str, quilts: bool
 ) -> tuple[CensusRow, list[tuple[LoopSignedGraph, LoopSignedGraph]]]:
     idx_pairs = find_pairs_packed(packed)
     tree = packed.treelike()
@@ -556,11 +544,11 @@ def _census_from_packed(
     tree_classes = colour_classes(tree_pairs)
     quilt_count = len(quilt_classes(graph_pairs)) if quilts else None
     row = CensusRow(
-        vertices=vertices,
-        colors=colors,
+        vertices=packed.vertices,
+        colors=packed.colors,
         regime=regime,
-        class_count=class_count,
-        treelike_count=treelike_count,
+        class_count=len(packed),
+        treelike_count=int(tree.sum()),
         pair_count=len(graph_pairs),
         treelike_pair_count=len(tree_pairs),
         class_pair_count=len(classes),
@@ -612,11 +600,7 @@ def census_details(
         packed = _merge_shards(parts)
     else:
         packed = enumerate_packed(vertices, colors, regime, progress=progress)
-    class_count = len(packed)
-    treelike_count = int(packed.treelike().sum())
-    return _census_from_packed(
-        packed, vertices, colors, regime, class_count, treelike_count, quilts
-    )
+    return _census_from_packed(packed, regime, quilts)
 
 
 def census(

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import SignedPerm
+from .algebra import SignedPerm, diagonal_normalizer
 
 # Byte values used in canonical codes.  Edge targets serialize as their
 # discovery number (1..V), so edges always compare below loops and a Neumann
@@ -165,25 +165,12 @@ def is_treelike(g: LoopSignedGraph) -> bool:
 
 
 def is_bipartite_loopless(g: LoopSignedGraph) -> bool:
-    """2-colourability of the loopless multigraph (parallel edges allowed)."""
-    side = [0] * (g.vertices + 1)
-    for s in range(1, g.vertices + 1):
-        if side[s]:
-            continue
-        side[s] = 1
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for p in g.adjacency:
-                t = p.targets[v - 1]
-                if t == v:
-                    continue
-                if side[t] == 0:
-                    side[t] = -side[v]
-                    queue.append(t)
-                elif side[t] == side[v]:
-                    return False
-    return True
+    """2-colourability of the loopless multigraph (parallel edges allowed).
+
+    A 2-colouring is a diagonal sign matrix that normalizes every colour
+    negated, since an edge of -A^c asks for opposite signs at its ends.
+    """
+    return diagonal_normalizer([-p for p in g.adjacency]) is not None
 
 
 @dataclass(frozen=True)

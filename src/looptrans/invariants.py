@@ -2,8 +2,10 @@
 
 Word traces, seeded randomized probes over a prime field, and the spectral
 report of basic invariants.  Equality of any of these is necessary for
-transplantability and never treated as sufficient; the probes exist to
-bucket candidates before the exact decision.
+transplantability and never treated as sufficient.  Only ``det_probe``
+buckets candidates before the exact decision: ``find_pairs_packed`` splits
+trace-hash buckets of more than 16 members by it.  ``kron_probe`` serves the
+CLI ``invariants`` report and :func:`fingerprint`.
 """
 
 from __future__ import annotations

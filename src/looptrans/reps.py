@@ -18,7 +18,6 @@ from .algebra import (
     Code,
     SignedPerm,
     bfs_closure,
-    compose,
     compose_codes,
     inverse_code,
     word_product,
@@ -122,15 +121,6 @@ class SubCharPair:
                     raise ValueError("character is not a homomorphism")
 
 
-def check_subgroup(group: GroupClosure, subset: frozenset[int]) -> None:
-    if 0 not in subset:
-        raise ValueError("subgroup must contain the identity")
-    for a in subset:
-        for b in subset:
-            if group.mul(a, b) not in subset:
-                raise ValueError("subset is not closed under multiplication")
-
-
 def cayley_graph(group: GroupClosure, generators: Sequence[SignedPerm]) -> LoopSignedGraph:
     """Vertices are the elements; colour c joins g and g * gamma^c.
 
@@ -138,16 +128,14 @@ def cayley_graph(group: GroupClosure, generators: Sequence[SignedPerm]) -> LoopS
     colour is a perfect matching and the graph is loopless.
     """
     for gen in generators:
-        if gen.is_identity() or not compose(gen, gen).is_identity():
+        if gen.is_identity() or not gen.is_involution():
             raise ValueError("generators must be involutions distinct from the identity")
     n = group.order
     perms = []
     for gen in generators:
-        targets = [0] * n
-        for i in range(n):
-            j = group.index_of(compose(group.elements[i], gen))
-            targets[i] = j + 1
-        perms.append(SignedPerm(tuple(targets), (1,) * n))
+        gidx = group.index_of(gen)
+        targets = tuple(group.mul(i, gidx) + 1 for i in range(n))
+        perms.append(SignedPerm(targets, (1,) * n))
     return LoopSignedGraph(n, tuple(perms))
 
 
@@ -171,7 +159,7 @@ def schreier_graph(
     the identity matrix); they contribute a Neumann loop at every coset.
     """
     for gen in generators:
-        if not compose(gen, gen).is_identity():
+        if not gen.is_involution():
             raise ValueError("generators must square to the identity")
     pair.check(group)
     h = pair.subgroup
@@ -289,8 +277,8 @@ def gassmann_check(
     group: GroupClosure, h1: frozenset[int], h2: frozenset[int]
 ) -> bool:
     """Equal conjugacy-class intersections: the classical almost-conjugacy test."""
-    check_subgroup(group, h1)
-    check_subgroup(group, h2)
+    for h in (h1, h2):
+        SubCharPair(h, dict.fromkeys(h, 1)).check(group)
     for cls in group.conjugacy_classes():
         members = set(cls)
         if len(members & h1) != len(members & h2):

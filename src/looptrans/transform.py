@@ -1,18 +1,25 @@
 """Generating transforms: produce new transplantable pairs from given ones.
 
 Every transform that preserves transplantability also transports a witness:
-sign swaps and braids conjugate it by the diagonal sign matrices, crossings
+sign swaps and braids conjugate it by the diagonal sign matrices (both solve
+for them with :func:`~looptrans.algebra.diagonal_normalizer`), crossings
 tensor the two witnesses, substitutions tensor with an identity, and colour
 bookkeeping leaves it unchanged.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
-from .algebra import RatMatrix, SignedPerm, compose, kronecker
+from .algebra import (
+    RatMatrix,
+    SignedPerm,
+    compose,
+    conjugate_by_diagonal,
+    diagonal_normalizer,
+    kronecker,
+)
 from .graph import LoopSignedGraph, components, subgraph, validate
 from .transplant import transplantable
 
@@ -38,63 +45,41 @@ class SignPartition:
         )
 
 
+def _negated(g: LoopSignedGraph, colours: Iterable[int]) -> list[SignedPerm]:
+    """The colour matrices of g with the given colours negated."""
+    selected = set(colours)
+    if not selected <= set(range(1, g.colors + 1)):
+        raise ValueError(f"colours {selected} out of range 1..{g.colors}")
+    return [-p if c in selected else p for c, p in enumerate(g.adjacency, start=1)]
+
+
 def sign_partition(g: LoopSignedGraph, colours: Iterable[int]) -> SignPartition | None:
     """2-colouring with opposite signs across the given colours' edges.
 
     Vertices joined by an edge of a selected colour get opposite signs, all
-    other edges force equal signs.  The smallest vertex of each constraint
-    component is positive.  Returns None when no such assignment exists.
+    other edges force equal signs: the normalizer of g with the selected
+    colours negated.  The smallest vertex of each constraint component is
+    positive.  Returns None when no such assignment exists.
     """
-    selected = set(colours)
-    n = g.vertices
-    signs = [0] * (n + 1)
-    for s in range(1, n + 1):
-        if signs[s]:
-            continue
-        signs[s] = 1
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for c in range(1, g.colors + 1):
-                t = g.color(c).targets[v - 1]
-                if t == v:
-                    continue
-                want = -signs[v] if c in selected else signs[v]
-                if signs[t] == 0:
-                    signs[t] = want
-                    queue.append(t)
-                elif signs[t] != want:
-                    return None
-    return SignPartition(tuple(signs[1:]))
-
-
-def _conjugate_graph(g: LoopSignedGraph, signs: Sequence[int], negate: set[int]) -> LoopSignedGraph:
-    perms = []
-    for c in range(1, g.colors + 1):
-        p = g.color(c)
-        flip = -1 if c in negate else 1
-        new_signs = tuple(
-            flip * s * signs[i] * signs[t - 1]
-            for i, (t, s) in enumerate(zip(p.targets, p.signs))
-        )
-        perms.append(SignedPerm(p.targets, new_signs))
-    return LoopSignedGraph(g.vertices, tuple(perms))
+    signs = diagonal_normalizer(_negated(g, colours))
+    return None if signs is None else SignPartition(signs)
 
 
 def swap_loop_signs(g: LoopSignedGraph, colours: Iterable[int]) -> LoopSignedGraph:
     """Flip the loop signs of the selected colours; everything else unchanged.
 
-    Conjugates every adjacency matrix by the sign partition and negates the
-    selected colours, so transplantability is preserved; raises
+    Negates the selected colours and conjugates every adjacency matrix by the
+    sign partition, so transplantability is preserved; raises
     :class:`NoSignPartition` when the partition does not exist.
     """
     selected = set(colours)
-    if not selected <= set(range(1, g.colors + 1)):
-        raise ValueError(f"colours {selected} out of range 1..{g.colors}")
-    part = sign_partition(g, selected)
-    if part is None:
+    negated = _negated(g, selected)
+    signs = diagonal_normalizer(negated)
+    if signs is None:
         raise NoSignPartition(f"no sign partition for colours {sorted(selected)}")
-    return _conjugate_graph(g, part.signs, selected)
+    return LoopSignedGraph(
+        g.vertices, tuple(conjugate_by_diagonal(p, signs) for p in negated)
+    )
 
 
 def dualize(g: LoopSignedGraph) -> LoopSignedGraph:
@@ -117,40 +102,21 @@ def transport_dual_witness(
     return p2.to_matrix() @ witness @ p1.to_matrix()
 
 
-def _braid_normalizer(g: LoopSignedGraph, c: int, conjugator: int) -> tuple[SignedPerm, tuple[int, ...]]:
-    """Braided colour matrix and the diagonal signs normalizing the graph.
-
-    2-colouring: edges of other colours force equal signs, braided edges
-    force signs matching the conjugate's off-diagonal entries; the smallest
-    vertex of each constraint component is positive.
-    """
+def _braid_normalizer(
+    g: LoopSignedGraph, c: int, conjugator: int
+) -> tuple[list[SignedPerm], tuple[int, ...]]:
+    """Colours of g with colour c braided, and the diagonal signs normalizing them."""
     if not (1 <= c <= g.colors and 1 <= conjugator <= g.colors):
         raise ValueError("colour out of range")
     a, b = g.color(c), g.color(conjugator)
-    braided = compose(compose(b, a), b)
-    n = g.vertices
-    signs = [0] * (n + 1)
-    for s in range(1, n + 1):
-        if signs[s]:
-            continue
-        signs[s] = 1
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for d in range(1, g.colors + 1):
-                p = braided if d == c else g.color(d)
-                t = p.targets[v - 1]
-                if t == v:
-                    continue
-                want = signs[v] * p.signs[v - 1]
-                if signs[t] == 0:
-                    signs[t] = want
-                    queue.append(t)
-                elif signs[t] != want:
-                    raise NotNormalizable(
-                        f"braid of colour {c} by {conjugator} has no sign normalization"
-                    )
-    return braided, tuple(signs[1:])
+    perms = list(g.adjacency)
+    perms[c - 1] = compose(compose(b, a), b)
+    signs = diagonal_normalizer(perms)
+    if signs is None:
+        raise NotNormalizable(
+            f"braid of colour {c} by {conjugator} has no sign normalization"
+        )
+    return perms, signs
 
 
 def braid(g: LoopSignedGraph, c: int, conjugator: int) -> LoopSignedGraph:
@@ -161,16 +127,10 @@ def braid(g: LoopSignedGraph, c: int, conjugator: int) -> LoopSignedGraph:
     else :class:`NotNormalizable` is raised (only on non-bipartite loopless
     versions).  Loop signs are carried along unchanged.
     """
-    braided, diag = _braid_normalizer(g, c, conjugator)
-    perms = []
-    for d in range(1, g.colors + 1):
-        p = braided if d == c else g.color(d)
-        new_signs = tuple(
-            s * diag[i] * diag[t - 1]
-            for i, (t, s) in enumerate(zip(p.targets, p.signs))
-        )
-        perms.append(SignedPerm(p.targets, new_signs))
-    out = LoopSignedGraph(g.vertices, tuple(perms))
+    perms, signs = _braid_normalizer(g, c, conjugator)
+    out = LoopSignedGraph(
+        g.vertices, tuple(conjugate_by_diagonal(p, signs) for p in perms)
+    )
     err = validate(out)
     if err is not None:
         raise RuntimeError(err)
@@ -179,8 +139,7 @@ def braid(g: LoopSignedGraph, c: int, conjugator: int) -> LoopSignedGraph:
 
 def braid_conjugator(g: LoopSignedGraph, c: int, conjugator: int) -> RatMatrix:
     """Diagonal matrix P with braid(g) = P M P colour-wise, M the raw conjugate."""
-    _, diag = _braid_normalizer(g, c, conjugator)
-    return SignPartition(diag).to_matrix()
+    return SignPartition(_braid_normalizer(g, c, conjugator)[1]).to_matrix()
 
 
 def copy_colour(g: LoopSignedGraph, source: int) -> LoopSignedGraph:

@@ -1,19 +1,23 @@
 import random
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from looptrans.algebra import RatMatrix
+from looptrans.algebra import RatMatrix, SignedPerm, compose
 from looptrans.graph import (
     LoopSignedGraph,
     canonical_form,
     components,
     disjoint_union,
+    is_bipartite_loopless,
     is_connected,
     is_treelike,
 )
 from looptrans.invariants import word_trace
 from looptrans.transform import (
     NoSignPartition,
+    NotNormalizable,
     SubstitutionPlan,
     add_colour,
     braid,
@@ -31,6 +35,7 @@ from looptrans.transform import (
     transport_dual_witness,
 )
 from looptrans.transplant import decide, transplantable, verify_witness
+from conftest import random_graph
 
 
 def _all_neumann(g: LoopSignedGraph) -> LoopSignedGraph:
@@ -46,6 +51,99 @@ def test_swap_single_loops_only_colour(square_triangle):
     assert swapped.loops(1) == {1: "N", 2: "D"}
     assert swapped.edges(2) == s.edges(2)
     assert sign_partition(s, [1]).signs == (1, 1)  # the identity partition works
+
+
+def test_sign_partition_rejects_out_of_range_colours(gww):
+    g = gww.graphs[0]
+    for colours in ([0], [4], [1, 4]):
+        with pytest.raises(ValueError):
+            sign_partition(g, colours)
+        with pytest.raises(ValueError):
+            swap_loop_signs(g, colours)
+
+
+def _oracle_signs(vertices, perms):
+    """Brute-force normalizer: the one sign vector d with d_i * s * d_t = 1 on
+    every off-diagonal entry s at (i, t), +1 at each component's smallest vertex."""
+    smallest = [comp[0] for comp in components(LoopSignedGraph(vertices, tuple(perms)))]
+    found = [
+        d
+        for d in product((1, -1), repeat=vertices)
+        if all(d[v - 1] == 1 for v in smallest)
+        and all(
+            d[i] * s * d[t - 1] == 1
+            for p in perms
+            for i, (t, s) in enumerate(zip(p.targets, p.signs))
+            if t != i + 1
+        )
+    ]
+    assert len(found) <= 1
+    return found[0] if found else None
+
+
+def _oracle_conjugate(vertices, perms, d):
+    """The graph whose colours are the D p D, entry by entry."""
+    conjugated = []
+    for p in perms:
+        signs = tuple(s * d[i] * d[t - 1] for i, (t, s) in enumerate(zip(p.targets, p.signs)))
+        conjugated.append(SignedPerm(p.targets, signs))
+    return LoopSignedGraph(vertices, tuple(conjugated))
+
+
+def _negated(g, colours):
+    return [
+        SignedPerm(p.targets, tuple(-s for s in p.signs)) if c in colours else p
+        for c, p in enumerate(g.adjacency, start=1)
+    ]
+
+
+_random_graphs = st.builds(
+    lambda seed, vertices, colors: random_graph(random.Random(seed), vertices, colors),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 6),
+    st.integers(1, 4),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=_random_graphs, data=st.data())
+def test_sign_partition_matches_brute_force(g, data):
+    colours = data.draw(st.sets(st.integers(1, g.colors)))
+    negated = _negated(g, colours)
+    expected = _oracle_signs(g.vertices, negated)
+    part = sign_partition(g, colours)
+    assert (None if part is None else part.signs) == expected
+    if expected is None:
+        with pytest.raises(NoSignPartition):
+            swap_loop_signs(g, colours)
+    else:
+        assert swap_loop_signs(g, colours) == _oracle_conjugate(g.vertices, negated, expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=_random_graphs)
+def test_braid_matches_brute_force(g):
+    for c, conj in product(range(1, g.colors + 1), repeat=2):
+        a, b = g.color(c), g.color(conj)
+        perms = list(g.adjacency)
+        perms[c - 1] = compose(compose(b, a), b)
+        expected = _oracle_signs(g.vertices, perms)
+        if expected is None:
+            with pytest.raises(NotNormalizable):
+                braid(g, c, conj)
+        else:
+            assert braid(g, c, conj) == _oracle_conjugate(g.vertices, perms, expected)
+            n = g.vertices
+            assert braid_conjugator(g, c, conj) == RatMatrix.from_rows(
+                [[expected[i] if i == j else 0 for j in range(n)] for i in range(n)]
+            )
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=_random_graphs)
+def test_is_bipartite_loopless_matches_brute_force(g):
+    negated = _negated(g, range(1, g.colors + 1))
+    assert is_bipartite_loopless(g) == (_oracle_signs(g.vertices, negated) is not None)
 
 
 def test_swap_changes_only_selected_diagonal(gww):

@@ -7,7 +7,11 @@ produced in at most V labelings, one per start vertex.  A labeling survives
 exactly when its own serialization is the minimum over all start vertices,
 which makes each emitted graph equal to its own canonical form.  The
 canonicity filter and the word-trace fingerprints are vectorized over chunks
-of generated graphs.
+of generated graphs.  One packed routine computes the BFS code from one
+start vertex; the filter runs each start vertex only on the rows that no
+earlier one rejected, and :func:`canonical_codes` takes the minimum over all
+start vertices, so the colour and quilt quotients code whole batches of
+pairs at once.
 
 The fingerprint evaluates one colour word per trace class.  Every colour
 matrix A^c is a symmetric signed permutation, so A^c A^c = I,
@@ -34,7 +38,9 @@ from .graph import (
     DIRICHLET_BYTE,
     LoopSignedGraph,
     NEUMANN_BYTE,
-    canonical_form,
+    # unused here; the traced benchmark run wraps enumeration.canonical_form
+    canonical_form,  # noqa: F401
+    is_connected,
 )
 from .invariants import DEFAULT_MAX_WORD, det_probe
 from .transform import NotNormalizable, braid
@@ -43,6 +49,8 @@ from .transplant import transplantable
 REGIMES = ("mixed", "dirichlet", "neumann", "signless")
 
 _CHUNK_LEAVES = 120_000
+# packed rows hold 1-based vertex numbers as int8
+_MAX_PACKED_VERTICES = 127
 _SHARD_DEPTH = 3
 
 
@@ -70,6 +78,15 @@ def _loop_signs(regime: str) -> tuple[int, ...]:
     if regime in ("neumann", "signless"):
         return (1,)
     raise ValueError(f"unknown regime {regime!r}; expected one of {REGIMES}")
+
+
+def _check_size(vertices: int, colors: int) -> None:
+    if not 1 <= vertices <= _MAX_PACKED_VERTICES:
+        raise ValueError(
+            f"vertices must be between 1 and {_MAX_PACKED_VERTICES}, got {vertices}"
+        )
+    if colors < 1:
+        raise ValueError(f"colors must be at least 1, got {colors}")
 
 
 def _generate_leaves(
@@ -160,54 +177,91 @@ def _generate_leaves(
     rec(1, 1, 1, 0)
 
 
+def _start_codes(t0: np.ndarray, signs: np.ndarray, start: int) -> np.ndarray:
+    """BFS codes of packed connected rows from one start vertex (0-based).
+
+    ``t0`` holds 0-based targets, (N, C, V).  Colour by colour, the code
+    lists for each vertex in BFS discovery order (colours ascending) the
+    discovery number 1..V of its partner, or its loop byte: the per-start
+    serialization of :func:`graph._component_code`, as (N, C*V) uint8.
+    """
+    n, c_count, v_count = t0.shape
+    rows = np.arange(n)
+    rank = np.full((n, v_count), -1, np.int16)
+    order = np.zeros((n, v_count), np.int64)
+    order[:, 0] = start
+    rank[:, start] = 0
+    cnt = np.ones(n, np.int64)
+    # a connected row has found every vertex before its last slot is read
+    for slot in range(v_count - 1):
+        u = order[:, slot]
+        for c in range(c_count):
+            t = t0[rows, c, u]
+            new = rank[rows, t] < 0
+            nr = rows[new]
+            nt = t[new]
+            rank[nr, nt] = cnt[new]
+            order[nr, cnt[new]] = nt
+            cnt[new] += 1
+    # colour by colour, so that temporaries stay (N, V)
+    code = np.empty((n, c_count * v_count), np.uint8)
+    for c in range(c_count):
+        tt = np.take_along_axis(t0[:, c, :], order, axis=1)
+        ss = np.take_along_axis(signs[:, c, :], order, axis=1)
+        rk = np.take_along_axis(rank, tt, axis=1) + 1
+        code[:, c * v_count : (c + 1) * v_count] = np.where(
+            tt == order, np.where(ss < 0, DIRICHLET_BYTE, NEUMANN_BYTE), rk
+        )
+    return code
+
+
+def _lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rows where code ``a`` sorts strictly before code ``b``."""
+    neq = a != b
+    first = neq.argmax(axis=1)[:, None]
+    return np.take_along_axis(neq & (a < b), first, axis=1)[:, 0]
+
+
 def _canonical_mask(tarr: np.ndarray, sarr: np.ndarray) -> np.ndarray:
     """True for rows whose labeling realizes the minimal BFS code.
 
     Rows must be connected and BFS-consistent from vertex 1 (the generator's
     output), so a row's own serialization equals its start-1 code and only
-    the other start vertices need to be tried.
+    the other start vertices need to be tried.  Each start vertex is tried
+    on the rows that no earlier one has rejected.
     """
     n, c_count, v_count = tarr.shape
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    idx = np.arange(1, v_count + 1, dtype=np.int8)
-    loops = tarr == idx
+    t0 = tarr.astype(np.int64) - 1
     ref = np.where(
-        loops, np.where(sarr < 0, DIRICHLET_BYTE, NEUMANN_BYTE), tarr
+        t0 == np.arange(v_count),
+        np.where(sarr < 0, DIRICHLET_BYTE, NEUMANN_BYTE),
+        tarr,
     ).astype(np.uint8).reshape(n, c_count * v_count)
-    alive = np.ones(n, dtype=bool)
-    rows = np.arange(n)
-    t0 = (tarr.astype(np.int64) - 1)
-    code = np.empty((n, c_count * v_count), np.uint8)
+    live = np.arange(n)
     for start in range(1, v_count):
-        rank = np.full((n, v_count), -1, np.int8)
-        order = np.zeros((n, v_count), np.int64)
-        order[:, 0] = start
-        rank[:, start] = 0
-        cnt = np.ones(n, np.int64)
-        for slot in range(v_count):
-            u = order[:, slot]
-            for c in range(c_count):
-                t = t0[rows, c, u]
-                new = rank[rows, t] < 0
-                nr = rows[new]
-                nt = t[new]
-                rank[nr, nt] = cnt[new]
-                order[nr, cnt[new]] = nt
-                cnt[new] += 1
-        for c in range(c_count):
-            tt = np.take_along_axis(t0[:, c, :], order, axis=1)
-            ss = np.take_along_axis(sarr[:, c, :], order, axis=1)
-            rk = np.take_along_axis(rank, tt, axis=1).astype(np.int16) + 1
-            code[:, c * v_count : (c + 1) * v_count] = np.where(
-                tt == order, np.where(ss < 0, DIRICHLET_BYTE, NEUMANN_BYTE), rk
-            )
-        neq = code != ref
-        has = neq.any(axis=1)
-        first = neq.argmax(axis=1)
-        worse = has & (code[rows, first] < ref[rows, first])
-        alive &= ~worse
-    return alive
+        if not len(live):
+            break
+        keep = ~_lex_less(_start_codes(t0, sarr, start), ref)
+        live, t0, sarr, ref = live[keep], t0[keep], sarr[keep], ref[keep]
+    mask = np.zeros(n, dtype=bool)
+    mask[live] = True
+    return mask
+
+
+def canonical_codes(targets: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Minimal BFS code of each packed row over all start vertices.
+
+    ``targets`` (1-based) and ``signs`` are (N, C, V).  For connected rows
+    the result is (N, C*V) uint8 and row i equals
+    ``canonical_form(g_i).code[1:]``; other rows give no meaningful code.
+    """
+    t0 = targets.astype(np.int64) - 1
+    best = _start_codes(t0, signs, 0)
+    for start in range(1, targets.shape[2]):
+        code = _start_codes(t0, signs, start)
+        less = _lex_less(code, best)
+        best[less] = code[less]
+    return best
 
 
 @functools.cache
@@ -282,7 +336,7 @@ class PackedClasses:
 
     vertices: int
     colors: int
-    targets: np.ndarray  # (N, C, V) int8, 1-based
+    targets: np.ndarray  # (N, C, V), 1-based; int8 from the generator
     signs: np.ndarray  # (N, C, V) int8
     trace_hash: np.ndarray  # (N,) uint64
 
@@ -312,6 +366,7 @@ def enumerate_packed(
     progress: Callable[[int, int], None] | None = None,
 ) -> PackedClasses:
     """All canonical connected classes for the regime, as packed arrays."""
+    _check_size(vertices, colors)
     signs = _loop_signs(regime)
     row_len = 2 * colors * vertices
     buf = array("b")
@@ -377,12 +432,14 @@ def enumerate_classes(
     regime: str = "mixed",
     treelike_only: bool = False,
 ) -> Iterator[LoopSignedGraph]:
-    """One canonical representative per isomorphism class of connected graphs."""
+    """One canonical representative per isomorphism class of connected graphs.
+
+    The classes are enumerated, and the arguments checked, before this
+    returns; the iterator only builds the graphs.
+    """
     packed = enumerate_packed(vertices, colors, regime)
     mask = packed.treelike() if treelike_only else np.ones(len(packed), bool)
-    for i in range(len(packed)):
-        if mask[i]:
-            yield packed.graph(i)
+    return (packed.graph(i) for i in np.flatnonzero(mask))
 
 
 def _hash_buckets(packed: PackedClasses) -> list[list[int]]:
@@ -433,12 +490,7 @@ def find_pairs(
     colors = graphs[0].colors
     if any(g.vertices != vertices or g.colors != colors for g in graphs):
         raise ValueError("find_pairs needs equal vertex and colour counts")
-    tarr = np.zeros((len(graphs), colors, vertices), np.int8)
-    sarr = np.zeros((len(graphs), colors, vertices), np.int8)
-    for i, g in enumerate(graphs):
-        for c in range(colors):
-            tarr[i, c] = g.adjacency[c].targets
-            sarr[i, c] = g.adjacency[c].signs
+    tarr, sarr = _pack_graphs(graphs)
     packed = PackedClasses(
         vertices, colors, tarr, sarr, _trace_hash(tarr, sarr, DEFAULT_MAX_WORD)
     )
@@ -448,18 +500,6 @@ def find_pairs(
 def candidate_pairs_packed(packed: PackedClasses) -> list[tuple[int, int]]:
     """All index pairs sharing a trace-hash bucket (the decide workload)."""
     return [pair for members in _hash_buckets(packed) for pair in combinations(members, 2)]
-
-
-def _pair_key(
-    g1: LoopSignedGraph, g2: LoopSignedGraph
-) -> tuple[bytes, bytes]:
-    c1 = canonical_form(g1).code
-    c2 = canonical_form(g2).code
-    return (c1, c2) if c1 <= c2 else (c2, c1)
-
-
-def _permute_colours(g: LoopSignedGraph, perm: Sequence[int]) -> LoopSignedGraph:
-    return LoopSignedGraph(g.vertices, tuple(g.adjacency[p - 1] for p in perm))
 
 
 class _UnionFind:
@@ -478,41 +518,76 @@ class _UnionFind:
             self.parent[ry] = rx
 
 
+def _pack_graphs(graphs: Sequence[LoopSignedGraph]) -> tuple[np.ndarray, np.ndarray]:
+    """1-based targets (int16) and signs (int8) of equal-size graphs, (N, C, V)."""
+    tarr = np.array([[p.targets for p in g.adjacency] for g in graphs], np.int16)
+    sarr = np.array([[p.signs for p in g.adjacency] for g in graphs], np.int8)
+    return tarr, sarr
+
+
+def _pair_keys(tarr: np.ndarray, sarr: np.ndarray) -> list[bytes]:
+    """One key per packed pair: its two canonical codes, the smaller first."""
+    codes = canonical_codes(tarr, sarr)
+    a, b = codes[0::2], codes[1::2]
+    swap = _lex_less(b, a)[:, None]
+    keys = np.concatenate([np.where(swap, b, a), np.where(swap, a, b)], axis=1)
+    width = keys.shape[1]
+    blob = keys.tobytes()
+    return [blob[k : k + width] for k in range(0, len(blob), width)]
+
+
 def _quotient(
     pairs: Sequence[tuple[LoopSignedGraph, LoopSignedGraph]],
     with_braids: bool,
 ) -> list[list[tuple[LoopSignedGraph, LoopSignedGraph]]]:
+    """Classes of the pairs under colour permutation (and braiding), each in
+    input order, ordered by their first member."""
     if not pairs:
         return []
-    colors = pairs[0][0].colors
-    keys = [_pair_key(g1, g2) for g1, g2 in pairs]
-    index = {key: i for i, key in enumerate(keys)}
+    # rows 2i and 2i + 1 of the packed arrays are the two sides of pair i
+    graphs = [g for pair in pairs for g in pair]
+    vertices, colors = graphs[0].vertices, graphs[0].colors
+    if any(g.vertices != vertices or g.colors != colors for g in graphs):
+        raise ValueError("quotient needs graphs of equal vertex and colour counts")
+    if not all(map(is_connected, graphs)):
+        raise ValueError("quotient needs connected graphs")
+    tarr, sarr = _pack_graphs(graphs)
+    index = {key: i for i, key in enumerate(_pair_keys(tarr, sarr))}
     uf = _UnionFind(len(pairs))
 
-    def visit(i: int, h1: LoopSignedGraph, h2: LoopSignedGraph) -> None:
-        key = _pair_key(h1, h2)
-        j = index.get(key)
-        if j is not None:
-            uf.union(i, j)
+    def visit(sources: Sequence[int], targets: np.ndarray, signs: np.ndarray) -> None:
+        for i, key in zip(sources, _pair_keys(targets, signs)):
+            j = index.get(key)
+            if j is not None:
+                uf.union(i, j)
 
-    for i, (g1, g2) in enumerate(pairs):
-        for perm in permutations(range(1, colors + 1)):
-            h1 = _permute_colours(g1, perm)
-            h2 = _permute_colours(g2, perm)
-            visit(i, h1, h2)
-        if with_braids:
+    # every colour permutation of every pair in one batch, pair sides adjacent
+    perms = np.array(list(permutations(range(colors))))
+    shape = (len(perms) * len(tarr), colors, vertices)
+    visit(
+        list(range(len(pairs))) * len(perms),
+        tarr[:, perms].swapaxes(0, 1).reshape(shape),
+        sarr[:, perms].swapaxes(0, 1).reshape(shape),
+    )
+    if with_braids:
+        sources: list[int] = []
+        braided: list[tuple[LoopSignedGraph, LoopSignedGraph]] = []
+        for i, (g1, g2) in enumerate(pairs):
             for c in range(1, colors + 1):
                 for conj in range(1, colors + 1):
                     if c == conj:
                         continue
                     try:
-                        visit(i, braid(g1, c, conj), braid(g2, c, conj))
+                        braided.append((braid(g1, c, conj), braid(g2, c, conj)))
                     except NotNormalizable:
                         continue
+                    sources.append(i)
+        if braided:
+            visit(sources, *_pack_graphs([g for pair in braided for g in pair]))
     classes: dict[int, list[tuple[LoopSignedGraph, LoopSignedGraph]]] = {}
     for i, pair in enumerate(pairs):
         classes.setdefault(uf.find(i), []).append(pair)
-    return [classes[root] for root in sorted(classes)]
+    return list(classes.values())
 
 
 def colour_classes(
@@ -577,6 +652,7 @@ def census_details(
         raise ValueError("census regime must be mixed, dirichlet or neumann")
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
+    _check_size(vertices, colors)
     threads = min(threads, os.cpu_count() or 1)
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor

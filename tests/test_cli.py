@@ -88,6 +88,21 @@ def test_census_threads_below_one_exit_code(capsys):
     assert "threads" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--vertices", "0"), ("--vertices", "-2"), ("--vertices", "128"), ("--colors", "0")],
+)
+def test_census_and_enumerate_reject_bad_sizes(flag, value, tmp_path, capsys):
+    args = {"--vertices": "2", "--colors": "3", flag: value}
+    flags = [x for kv in args.items() for x in kv]
+    assert main(["census", *flags]) == 2
+    assert flag.lstrip("-") in capsys.readouterr().err
+    outdir = tmp_path / "classes"
+    assert main(["enumerate", *flags, "--out", str(outdir)]) == 2
+    assert flag.lstrip("-") in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 def test_invariants_output(gww_files, capsys):
     a, _ = gww_files
     assert main(["invariants", str(a), "--max-word", "2", "--seed", "5"]) == 0

@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from looptrans.algebra import SignedPerm
 from looptrans.catalog import CATALOG_NAMES, catalog
 from looptrans.graph import (
     LoopSignedGraph,
+    _bfs_order,
     canonical_form,
     is_canonical,
     is_connected,
@@ -22,6 +23,7 @@ from looptrans.enumeration import (
     _canonical_mask,
     _merge_shards,
     _trace_hash,
+    canonical_codes,
     census,
     census_details,
     colour_classes,
@@ -31,6 +33,7 @@ from looptrans.enumeration import (
     quilt_classes,
 )
 from looptrans.invariants import DEFAULT_MAX_WORD, trace_profile, word_trace
+from looptrans.transform import NotNormalizable, braid
 from looptrans.transplant import transplantable
 from conftest import random_graph
 
@@ -244,32 +247,75 @@ def test_trace_hash_is_relabelling_invariant(seed, vertices, colors, data):
     assert hashes[0] == hashes[1]
 
 
+def _bfs_relabelled(g, start=1):
+    """g relabelled in BFS order from ``start``: the generator's row form."""
+    relabel = [0] * g.vertices
+    for pos, v in enumerate(_bfs_order(g, start), start=1):
+        relabel[v - 1] = pos
+    return permute(g, tuple(relabel))
+
+
+def _connected_random_graph(rng, vertices, colors):
+    g = random_graph(rng, vertices, colors)
+    while not is_connected(g):
+        g = random_graph(rng, vertices, colors)
+    return g
+
+
 def test_canonical_mask_matches_scalar():
     # the mask expects its input rows to be BFS-consistent from vertex 1,
     # which is what the generator emits; relabel random graphs accordingly
-    from looptrans.graph import _bfs_order
-
     rng = random.Random(70)
-    rows_t = []
-    rows_s = []
+    for vertices, colors in [(5, 2), (4, 3), (6, 3), (7, 3), (5, 4), (7, 4)]:
+        graphs = [
+            _bfs_relabelled(_connected_random_graph(rng, vertices, colors))
+            for _ in range(60)
+        ]
+        mask = _canonical_mask(*_pack(graphs))
+        assert [bool(flag) for flag in mask] == [is_canonical(g) for g in graphs]
+        assert 0 < mask.sum() < len(graphs)
+
+
+def test_canonical_mask_stops_when_every_row_is_dead(monkeypatch):
+    # vertex 1 has a colour-1 loop and vertex 2 a colour-1 edge, so start
+    # vertex 2 rejects every row and no later start vertex runs
+    rng = random.Random(71)
     graphs = []
-    while len(graphs) < 60:
-        g = random_graph(rng, 5, 2)
-        if not is_connected(g):
-            continue
-        order = _bfs_order(g, 1)
-        relabel = [0] * g.vertices
-        for pos, v in enumerate(order, start=1):
-            relabel[v - 1] = pos
-        h = permute(g, tuple(relabel))
-        graphs.append(h)
-        rows_t.append([list(p.targets) for p in h.adjacency])
-        rows_s.append([list(p.signs) for p in h.adjacency])
-    tarr = np.array(rows_t, dtype=np.int8)
-    sarr = np.array(rows_s, dtype=np.int8)
-    mask = _canonical_mask(tarr, sarr)
-    for g, flag in zip(graphs, mask):
-        assert bool(flag) == is_canonical(g)
+    while len(graphs) < 30:
+        g = _connected_random_graph(rng, 6, 3)
+        starts = [v for v, t in enumerate(g.color(1).targets, start=1) if t == v]
+        h = _bfs_relabelled(g, rng.choice(starts)) if starts else g
+        if h.color(1).targets[0] == 1 and h.color(1).targets[1] != 2:
+            graphs.append(h)
+    calls = []
+    start_codes = enumeration._start_codes
+
+    def counted(t0, signs, start):
+        calls.append((start, len(t0)))
+        return start_codes(t0, signs, start)
+
+    monkeypatch.setattr(enumeration, "_start_codes", counted)
+    mask = _canonical_mask(*_pack(graphs))
+    assert not mask.any()
+    assert not any(is_canonical(g) for g in graphs)
+    assert calls == [(1, len(graphs))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), colors=st.integers(1, 4), data=st.data())
+def test_canonical_codes_match_canonical_form(seed, colors, data):
+    # one colour connects at most two vertices
+    vertices = data.draw(st.integers(1, 2 if colors == 1 else 8))
+    rng = random.Random(seed)
+    graphs = [_connected_random_graph(rng, vertices, colors) for _ in range(3)]
+    relabel = data.draw(st.permutations(range(1, vertices + 1)))
+    graphs += [permute(g, tuple(relabel)) for g in graphs]
+    codes = canonical_codes(*_pack(graphs))
+    assert codes.shape == (len(graphs), colors * vertices)
+    assert codes.dtype == np.uint8
+    for g, code in zip(graphs, codes):
+        assert code.tobytes() == canonical_form(g).code[1:]
+    assert np.array_equal(codes[:3], codes[3:])
 
 
 def test_find_pairs_matches_all_pairs_decide():
@@ -317,6 +363,97 @@ def test_colour_classes_on_two_vertex_pairs():
     assert len(quilt_classes(pairs)) <= 3
 
 
+def _scalar_quotient(pairs, with_braids):
+    """Reference oracle: the quotient coding every graph on its own with
+    ``canonical_form``, once per colour permutation and braid."""
+    if not pairs:
+        return []
+    colors = pairs[0][0].colors
+
+    def pair_key(g1, g2):
+        c1 = canonical_form(g1).code
+        c2 = canonical_form(g2).code
+        return (c1, c2) if c1 <= c2 else (c2, c1)
+
+    def permute_colours(g, perm):
+        return LoopSignedGraph(g.vertices, tuple(g.adjacency[p - 1] for p in perm))
+
+    index = {pair_key(g1, g2): i for i, (g1, g2) in enumerate(pairs)}
+    parent = list(range(len(pairs)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def visit(i, h1, h2):
+        j = index.get(pair_key(h1, h2))
+        if j is not None:
+            parent[find(j)] = find(i)
+
+    for i, (g1, g2) in enumerate(pairs):
+        for perm in permutations(range(1, colors + 1)):
+            visit(i, permute_colours(g1, perm), permute_colours(g2, perm))
+        if with_braids:
+            for c in range(1, colors + 1):
+                for conj in range(1, colors + 1):
+                    if c == conj:
+                        continue
+                    try:
+                        visit(i, braid(g1, c, conj), braid(g2, c, conj))
+                    except NotNormalizable:
+                        continue
+    classes = {}
+    for i in range(len(pairs)):
+        classes.setdefault(find(i), set()).add(i)
+    return {frozenset(c) for c in classes.values()}
+
+
+def _index_partition(pairs, classes):
+    position = {id(pair): i for i, pair in enumerate(pairs)}
+    return {frozenset(position[id(pair)] for pair in cls) for cls in classes}
+
+
+def _shuffle_colours(pairs, rng):
+    out = []
+    for g1, g2 in pairs:
+        perm = list(range(g1.colors))
+        rng.shuffle(perm)
+        out.append(tuple(
+            LoopSignedGraph(g.vertices, tuple(g.adjacency[p] for p in perm))
+            for g in (g1, g2)
+        ))
+    return out
+
+
+@pytest.mark.parametrize(
+    "vertices,regime", [(4, "mixed"), (7, "dirichlet"), (7, "neumann")]
+)
+def test_quotients_match_scalar_oracle(vertices, regime):
+    _, pairs = census_details(vertices, 3, regime)
+    assert pairs
+    for inputs in (pairs, _shuffle_colours(pairs, random.Random(vertices))):
+        colour = colour_classes(inputs)
+        quilt = quilt_classes(inputs)
+        assert {id(p) for cls in colour for p in cls} == {id(p) for p in inputs}
+        assert _index_partition(inputs, colour) == _scalar_quotient(inputs, False)
+        assert _index_partition(inputs, quilt) == _scalar_quotient(inputs, True)
+
+
+def test_quotient_rejects_disconnected_and_mixed_size_pairs():
+    loops = LoopSignedGraph.build(2, [((), {1: "D", 2: "N"})] * 3)
+    edge = LoopSignedGraph.build(2, [([(1, 2)], {})] * 3)
+    path = LoopSignedGraph.build(3, [
+        ([(1, 2)], {3: "D"}),
+        ([(2, 3)], {1: "N"}),
+        ([(1, 2)], {3: "N"}),
+    ])
+    for pairs in ([(edge, edge), (loops, edge)], [(edge, path)]):
+        for quotient in (colour_classes, quilt_classes):
+            with pytest.raises(ValueError):
+                quotient(pairs)
+
+
 def test_census_details_returns_the_counted_pairs():
     row, pairs = census_details(4, 3, "mixed")
     assert row.pair_count == len(pairs) == 118
@@ -351,6 +488,25 @@ def test_census_rejects_threads_below_one(monkeypatch):
     for threads in (0, -3):
         with pytest.raises(ValueError, match="threads"):
             census_details(2, 3, "mixed", threads=threads)
+
+
+def test_sizes_are_checked_before_generation(monkeypatch):
+    import concurrent.futures
+
+    def no_generation(*args, **kwargs):
+        raise AssertionError("leaves were generated")
+
+    monkeypatch.setattr(enumeration, "_generate_leaves", no_generation)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+    for vertices, colors in [(0, 3), (-1, 3), (128, 3), (2, 0), (2, -1)]:
+        with pytest.raises(ValueError, match="vertices" if colors > 0 else "colors"):
+            enumerate_packed(vertices, colors)
+        with pytest.raises(ValueError):
+            enumerate_classes(vertices, colors)
+        for threads in (1, 2):
+            with pytest.raises(ValueError):
+                census_details(vertices, colors, threads=threads)
 
 
 def test_census_caps_threads_at_cpu_count(monkeypatch):

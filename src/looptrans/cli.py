@@ -118,6 +118,10 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
     return 0
 
 
+def _report_progress(leaves: int, classes: int) -> None:
+    print(f"leaves={leaves} classes={classes}", file=sys.stderr, flush=True)
+
+
 def _cmd_census(args: argparse.Namespace) -> int:
     row = census(
         args.vertices,
@@ -125,6 +129,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
         regime=args.loops,
         quilts=args.quilts,
         threads=args.threads,
+        progress=_report_progress if args.progress else None,
     )
     if args.treelike:
         print(
@@ -284,6 +289,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--treelike", action="store_true")
     p.add_argument("--quilts", action="store_true")
     p.add_argument("--threads", type=int, default=1)
+    p.add_argument(
+        "--progress",
+        action="store_true",
+        help="write running leaves/classes totals to stderr",
+    )
     p.set_defaults(func=_cmd_census)
 
     p = sub.add_parser("enumerate", help="stream canonical isomorphism classes")

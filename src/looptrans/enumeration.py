@@ -5,13 +5,30 @@ Generation works in BFS-consistent labelings: a labeled graph is grown one
 vertex 1 (colours ascending) would visit them, so every connected graph is
 produced in at most V labelings, one per start vertex.  A labeling survives
 exactly when its own serialization is the minimum over all start vertices,
-which makes each emitted graph equal to its own canonical form.  The
-canonicity filter and the word-trace fingerprints are vectorized over chunks
-of generated graphs.  One packed routine computes the BFS code from one
-start vertex; the filter runs each start vertex only on the rows that no
-earlier one rejected, and :func:`canonical_codes` takes the minimum over all
-start vertices, so the colour and quilt quotients code whole batches of
-pairs at once.
+which makes each emitted graph equal to its own canonical form.
+
+The labelings are grown on numpy frontiers of partial labelings.  The
+V*C slots (v, c) are visited vertex by vertex, colours ascending within a
+vertex: the order in which a depth-first search over the same choices
+decides them.  At each slot every partial labeling gets a row of options
+(pass-through if the slot is filled, else one loop per sign, then one edge
+per admissible target, ascending), and ``np.nonzero`` lists the children
+parent by parent in option order.  That is the order in which the search
+would visit its branches, so the leaves come out in the search's order.  A
+step that would make more than ``_CHUNK_LEAVES`` children first splits its
+parents into consecutive blocks, each finished before the next, so memory
+stays bounded and the order is kept.  Shards deal the rows that reach one
+fixed slot round-robin by their index in the whole frontier; leaves
+complete before that slot belong to shard 0.  A frontier step is also where a future pruning
+test on partial labelings would run, vectorized over the rows.
+
+The canonicity filter and the word-trace fingerprints are vectorized over
+each finished block of leaves.  One packed routine computes the BFS code
+from one start vertex; the filter runs each start vertex only on the rows
+that no earlier one rejected, and :func:`canonical_codes` takes the minimum
+over all start vertices, so the colour and quilt quotients code whole
+batches of pairs at once.  :func:`class_counts` counts the classes by
+Burnside's lemma without the generator, as an independent check.
 
 The fingerprint evaluates one colour word per trace class.  Every colour
 matrix A^c is a symmetric signed permutation, so A^c A^c = I,
@@ -25,9 +42,10 @@ representatives on a trie of 43 prefixes, against 1,092 words.
 from __future__ import annotations
 
 import functools
+import math
 import os
-from array import array
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Callable, Iterator, Sequence
 
@@ -51,7 +69,7 @@ REGIMES = ("mixed", "dirichlet", "neumann", "signless")
 _CHUNK_LEAVES = 120_000
 # packed rows hold 1-based vertex numbers as int8
 _MAX_PACKED_VERTICES = 127
-_SHARD_DEPTH = 3
+_SHARD_SLOT = 8
 
 
 @dataclass(frozen=True)
@@ -93,88 +111,121 @@ def _generate_leaves(
     vertices: int,
     colors: int,
     signs: tuple[int, ...],
-    emit: Callable[[list[list[int]], list[list[int]]], None],
     shard_count: int = 1,
     shard_index: int = 0,
-) -> None:
-    """DFS over BFS-consistent labeled connected graphs; emit at each leaf.
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Blocks of BFS-consistent labeled connected graphs, as 1-based targets
+    and signs, each (N, C, V) int8.
 
-    Sharding partitions the subtrees below the first few decisions; shards
-    are disjoint and jointly exhaustive for any shard count.
+    A frontier of partial labelings is grown one slot (v, c) at a time, in
+    the order a depth-first search over the same choices fills them: vertices
+    ascending, colours ascending within a vertex.  A frontier row holds the
+    targets and signs (0 where undecided), the discovered count k and the
+    colour-1 class of vertex 1.  At each slot every row gets a row of
+    options: pass-through when the slot is already filled, otherwise one loop
+    per sign, then one edge per target w, ascending over the free vertices in
+    v+1..k and the fresh vertex k+1.  ``np.nonzero`` expands the frontier
+    parent by parent and, within a parent, in option order, which is the
+    order of the search's branches, so the leaves come out in the search's
+    order.  After a vertex's last colour, rows with k <= v cannot become
+    connected and are dropped.
+
+    When a step would make more than ``_CHUNK_LEAVES`` children, the parents
+    are split into consecutive blocks that are each finished before the
+    next, depth first; the order is kept and memory stays bounded.
+
+    Sharding deals the rows that reach slot ``_SHARD_SLOT`` round-robin by
+    their index in the whole frontier, across blocks; leaves that are
+    complete before that slot go to shard 0.  Shards are disjoint and
+    jointly exhaustive for any shard count.
     """
     V, C = vertices, colors
-    tgt = [[0] * (V + 1) for _ in range(C + 1)]
-    sgn = [[0] * (V + 1) for _ in range(C + 1)]
-    counter = [0]
+    cv = C * V
+    k_col, f_col = 2 * cv, 2 * cv + 1
+    first_edge = 1 + len(signs)
     # class of vertex 1's colour-1 incidence: 0 edge, 1 Neumann, 2 Dirichlet;
     # no other vertex may have a colour-1 incidence of smaller class,
-    # otherwise the code from that start vertex would be smaller.
-    f1 = [0]
+    # otherwise the code from that start vertex would be smaller.  Indexed
+    # by option column: 0 for pass-through and edges.
+    column_class = np.zeros(first_edge + V, np.int8)
+    column_class[1:first_edge] = [1 if s > 0 else 2 for s in signs]
+    slots = [(v, c) for v in range(V) for c in range(C)]
+    dealt = 0
 
-    def gate(depth: int) -> bool:
-        if depth != _SHARD_DEPTH or shard_count == 1:
-            return True
-        take = counter[0] % shard_count == shard_index
-        counter[0] += 1
-        return take
+    def options_at(rows: np.ndarray, v: int, c: int, free: np.ndarray) -> np.ndarray:
+        """(N, 1 + loops + V-1-v) bool: pass-through, loops, edges to w > v."""
+        targets = np.arange(v + 1, V)
+        options = np.empty((len(rows), first_edge + len(targets)), bool)
+        options[:, 0] = ~free
+        options[:, 1:first_edge] = free[:, None]
+        edges = free
+        if c == 0 and v > 0:
+            f = rows[:, f_col, None]
+            options[:, 1:first_edge] &= column_class[1:first_edge] >= f
+            edges = free & (f[:, 0] == 0)
+        # free discovered targets, or the fresh vertex k+1 (0-based k)
+        options[:, first_edge:] = (
+            edges[:, None]
+            & (targets <= rows[:, k_col, None])
+            & (rows[:, c * V + v + 1 : (c + 1) * V] == 0)
+        )
+        return options
 
-    def rec(v: int, c: int, k: int, depth: int) -> None:
-        if c > C:
-            if v == V:
-                if depth >= _SHARD_DEPTH or shard_count == 1 or shard_index == 0:
-                    emit(tgt, sgn)
+    def expand(rows: np.ndarray, options: np.ndarray, v: int, c: int) -> np.ndarray:
+        """The children, parent by parent in option order, with slot (v, c) set."""
+        parent, col = np.nonzero(options)
+        rows = rows[parent]
+        slot = c * V + v
+        target = np.concatenate([[0], [v + 1] * len(signs), np.arange(v + 2, V + 1)])
+        sign = np.array([0, *signs] + [1] * (V - 1 - v), np.int8)
+        at = np.flatnonzero(col)
+        rows[at, slot] = target[col[at]]
+        rows[at, cv + slot] = sign[col[at]]
+        if v == c == 0:
+            rows[:, f_col] = column_class[col]
+        at = np.flatnonzero(col >= first_edge)
+        w = target[col[at]]
+        rows[at, c * V + w - 1] = v + 1
+        rows[at, cv + c * V + w - 1] = 1
+        rows[at, k_col] = np.maximum(rows[at, k_col], w)
+        return rows
+
+    def grow(rows: np.ndarray, pos: int) -> Iterator[np.ndarray]:
+        nonlocal dealt
+        for pos in range(pos, len(slots)):
+            v, c = slots[pos]
+            free = rows[:, c * V + v] == 0
+            if free.any():
+                options = options_at(rows, v, c, free)
+                if np.count_nonzero(options) > _CHUNK_LEAVES:
+                    # a block starts where a parent's last child falls in a
+                    # later chunk of _CHUNK_LEAVES children than the previous
+                    # parent's, so no block exceeds a chunk by more than one
+                    # parent's options
+                    last = np.cumsum(options.sum(axis=1)) - 1
+                    cuts = np.flatnonzero(np.diff(last // _CHUNK_LEAVES)) + 1
+                    if len(cuts):
+                        del options
+                        for part in np.split(rows, cuts):
+                            yield from grow(part, pos)
+                        return
+                rows = expand(rows, options, v, c)
+            if c == C - 1 and v < V - 1:
+                rows = rows[rows[:, k_col] > v + 1]
+            if shard_count > 1 and pos + 1 == _SHARD_SLOT < len(slots):
+                turn = (dealt + np.arange(len(rows))) % shard_count
+                dealt += len(rows)
+                rows = rows[turn == shard_index]
+            if not len(rows):
                 return
-            if k <= v:
-                return
-            rec(v + 1, 1, k, depth)
+        if shard_count > 1 and shard_index and len(slots) <= _SHARD_SLOT:
             return
-        tc = tgt[c]
-        if tc[v]:
-            rec(v, c + 1, k, depth)
-            return
-        sc = sgn[c]
-        nd = depth + 1
-        # loops
-        for s in signs:
-            if c == 1:
-                cls = 1 if s > 0 else 2
-                if v == 1:
-                    f1[0] = cls
-                elif cls < f1[0]:
-                    continue
-            tc[v] = v
-            sc[v] = s
-            if gate(nd):
-                rec(v, c + 1, k, nd)
-            tc[v] = 0
-            sc[v] = 0
-        if c == 1 and v > 1 and f1[0] > 0:
-            return  # colour-1 edges are only allowed when vertex 1 has one
-        # edges to already-discovered, colour-free vertices
-        for w in range(v + 1, k + 1):
-            if tc[w]:
-                continue
-            if c == 1 and v == 1:
-                f1[0] = 0
-            tc[v], tc[w] = w, v
-            sc[v] = sc[w] = 1
-            if gate(nd):
-                rec(v, c + 1, k, nd)
-            tc[v] = tc[w] = 0
-            sc[v] = sc[w] = 0
-        # edge to a fresh vertex
-        if k < V:
-            w = k + 1
-            if c == 1 and v == 1:
-                f1[0] = 0
-            tc[v], tc[w] = w, v
-            sc[v] = sc[w] = 1
-            if gate(nd):
-                rec(v, c + 1, k + 1, nd)
-            tc[v] = tc[w] = 0
-            sc[v] = sc[w] = 0
+        yield rows
 
-    rec(1, 1, 1, 0)
+    start = np.zeros((1, 2 * cv + 2), np.int8)
+    start[0, k_col] = 1
+    for rows in grow(start, 0):
+        yield rows[:, :cv].reshape(-1, C, V), rows[:, cv : 2 * cv].reshape(-1, C, V)
 
 
 def _start_codes(t0: np.ndarray, signs: np.ndarray, start: int) -> np.ndarray:
@@ -365,45 +416,28 @@ def enumerate_packed(
     shard_index: int = 0,
     progress: Callable[[int, int], None] | None = None,
 ) -> PackedClasses:
-    """All canonical connected classes for the regime, as packed arrays."""
+    """All canonical connected classes for the regime, as packed arrays.
+
+    Each block of leaves from :func:`_generate_leaves` is filtered and hashed
+    as it is finished; ``progress`` receives the running leaf and class
+    totals after each block.
+    """
     _check_size(vertices, colors)
-    signs = _loop_signs(regime)
-    row_len = 2 * colors * vertices
-    buf = array("b")
     leaves = 0
     survivors_t: list[np.ndarray] = []
     survivors_s: list[np.ndarray] = []
     hashes: list[np.ndarray] = []
-
-    def flush() -> None:
-        nonlocal buf, leaves
-        if not buf:
-            return
-        raw = np.frombuffer(buf.tobytes(), dtype=np.int8).reshape(-1, row_len)
-        tarr = raw[:, : colors * vertices].reshape(-1, colors, vertices)
-        sarr = raw[:, colors * vertices :].reshape(-1, colors, vertices)
+    for tarr, sarr in _generate_leaves(
+        vertices, colors, _loop_signs(regime), shard_count, shard_index
+    ):
+        leaves += len(tarr)
         mask = _canonical_mask(tarr, sarr)
-        tarr = np.ascontiguousarray(tarr[mask])
-        sarr = np.ascontiguousarray(sarr[mask])
+        tarr, sarr = tarr[mask], sarr[mask]
         survivors_t.append(tarr)
         survivors_s.append(sarr)
         hashes.append(_trace_hash(tarr, sarr, DEFAULT_MAX_WORD))
         if progress is not None:
             progress(leaves, sum(len(t) for t in survivors_t))
-        buf = array("b")
-
-    def emit(tgt: list[list[int]], sgn: list[list[int]]) -> None:
-        nonlocal leaves
-        for c in range(1, colors + 1):
-            buf.extend(tgt[c][1:])
-        for c in range(1, colors + 1):
-            buf.extend(sgn[c][1:])
-        leaves += 1
-        if leaves % _CHUNK_LEAVES == 0:
-            flush()
-
-    _generate_leaves(vertices, colors, signs, emit, shard_count, shard_index)
-    flush()
     if survivors_t:
         targets = np.concatenate(survivors_t)
         signs_arr = np.concatenate(survivors_s)
@@ -552,23 +586,22 @@ def _quotient(
     if not all(map(is_connected, graphs)):
         raise ValueError("quotient needs connected graphs")
     tarr, sarr = _pack_graphs(graphs)
-    index = {key: i for i, key in enumerate(_pair_keys(tarr, sarr))}
     uf = _UnionFind(len(pairs))
-
-    def visit(sources: Sequence[int], targets: np.ndarray, signs: np.ndarray) -> None:
-        for i, key in zip(sources, _pair_keys(targets, signs)):
-            j = index.get(key)
-            if j is not None:
-                uf.union(i, j)
-
-    # every colour permutation of every pair in one batch, pair sides adjacent
+    # every colour permutation of every pair in one batch, pair sides
+    # adjacent; the first pair to claim a key keeps it and later claimants
+    # join that pair, so the index holds each pair's whole colour orbit
     perms = np.array(list(permutations(range(colors))))
     shape = (len(perms) * len(tarr), colors, vertices)
-    visit(
-        list(range(len(pairs))) * len(perms),
+    keys = _pair_keys(
         tarr[:, perms].swapaxes(0, 1).reshape(shape),
         sarr[:, perms].swapaxes(0, 1).reshape(shape),
     )
+    index: dict[bytes, int] = {}
+    for n, key in enumerate(keys):
+        i = n % len(pairs)
+        j = index.setdefault(key, i)
+        if j != i:
+            uf.union(j, i)
     if with_braids:
         sources: list[int] = []
         braided: list[tuple[LoopSignedGraph, LoopSignedGraph]] = []
@@ -583,7 +616,12 @@ def _quotient(
                         continue
                     sources.append(i)
         if braided:
-            visit(sources, *_pack_graphs([g for pair in braided for g in pair]))
+            packed = _pack_graphs([g for pair in braided for g in pair])
+            # a braid followed by any colour permutation finds its pair
+            for i, key in zip(sources, _pair_keys(*packed)):
+                j = index.get(key)
+                if j is not None:
+                    uf.union(i, j)
     classes: dict[int, list[tuple[LoopSignedGraph, LoopSignedGraph]]] = {}
     for i, pair in enumerate(pairs):
         classes.setdefault(uf.find(i), []).append(pair)
@@ -711,3 +749,92 @@ def _shard_worker(args: tuple[int, int, str, int, int]) -> tuple[int, PackedClas
         progress=record,
     )
     return leaves, packed
+
+
+def _poly_mul(p: list, q: list) -> list:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return out
+
+
+def _poly_add(p: list, q: list) -> list:
+    if len(p) < len(q):
+        p, q = q, p
+    return [a + (q[i] if i < len(q) else 0) for i, a in enumerate(p)]
+
+
+def _mobius(n: int) -> int:
+    result, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            result = -result
+        p += 1
+    return -result if n > 1 else result
+
+
+def class_counts(vertices: int, colors: int, regime: str = "mixed") -> tuple[int, int]:
+    """Connected classes and treelike connected classes, counted by
+    Burnside's lemma without the generator.
+
+    A vertex permutation with m cycles of length k fixes a(m) colour
+    structures on those cycles: each cycle is either fixed pointwise with
+    one loop sign (s ways), or for even k half-rotated into k/2 edges, or
+    paired with another cycle by one of k rotations into k edges, so
+    a(m) = (s + [k even]) a(m-1) + (m-1) k a(m-2).  With each edge weighted
+    by y, the average over all permutations of the product of a(m)^C over
+    the cycle lengths counts all classes, connected or not, by edge count;
+    it is the coefficient of x^V in the product over k of
+    sum_m a(m)^C x^(km) / (k^m m!).  The inverse Euler transform keeps the
+    connected classes, and the treelike ones are its coefficient of y^(V-1).
+    """
+    s = len(_loop_signs(regime))
+    if vertices < 1:
+        raise ValueError(f"vertices must be at least 1, got {vertices}")
+    if colors < 1:
+        raise ValueError(f"colors must be at least 1, got {colors}")
+    # series in x up to x^V; each coefficient a polynomial in y
+    total: list[list] = [[1]] + [[0]] * vertices
+    for k in range(1, vertices + 1):
+        own = [s] + [0] * (k // 2)
+        if k % 2 == 0:
+            own[k // 2] += 1
+        fixed = [[1], own]
+        for m in range(2, vertices // k + 1):
+            paired = [0] * k + [(m - 1) * k * a for a in fixed[m - 2]]
+            fixed.append(_poly_add(_poly_mul(own, fixed[m - 1]), paired))
+        product = [list(p) for p in total]
+        for m in range(1, vertices // k + 1):
+            power = [1]
+            for _ in range(colors):
+                power = _poly_mul(power, fixed[m])
+            weight = Fraction(1, k**m * math.factorial(m))
+            term = [weight * a for a in power]
+            for n in range(k * m, vertices + 1):
+                product[n] = _poly_add(product[n], _poly_mul(total[n - k * m], term))
+        total = product
+    # log of the series, from n L[n] = n u[n] - sum over i < n of i L[i] u[n-i]
+    logs: list[list] = [[]]
+    for n in range(1, vertices + 1):
+        acc = [n * a for a in total[n]]
+        for i in range(1, n):
+            term = _poly_mul([i * a for a in logs[i]], total[n - i])
+            acc = _poly_add(acc, [-a for a in term])
+        logs.append([a / n for a in acc])
+    # connected: the sum over j | V of mobius(j) / j * L[V / j](y^j)
+    connected: list = [0]
+    for j in range(1, vertices + 1):
+        if vertices % j == 0 and _mobius(j):
+            spread = [0] * (j * len(logs[vertices // j]))
+            for e, a in enumerate(logs[vertices // j]):
+                spread[j * e] = a * _mobius(j) / j
+            connected = _poly_add(connected, spread)
+    if any(Fraction(a).denominator != 1 for a in connected):
+        raise RuntimeError("Burnside count is not integral")
+    treelike = connected[vertices - 1] if vertices - 1 < len(connected) else 0
+    return int(sum(connected)), int(treelike)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from looptrans import cli
+from looptrans import cli, enumeration
 from looptrans.cli import main
 from looptrans.catalog import catalog
 from looptrans.formats import dumps_json, parse_graph, parse_witness
@@ -81,6 +81,24 @@ def test_census_treelike_flag(capsys):
     assert main(["census", "--vertices", "2", "--colors", "3", "--treelike"]) == 0
     out = capsys.readouterr().out
     assert "treelike classes=30" in out and "pairs=6" in out
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_census_progress_on_stderr(threads, monkeypatch, capsys):
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+    flags = ["--vertices", "4", "--colors", "3", "--threads", threads]
+    assert main(["census", *flags, "--progress"]) == 0
+    captured = capsys.readouterr()
+    assert "pairs=118" in captured.out and "leaves=" not in captured.out
+    lines = captured.err.splitlines()
+    assert lines and all(line.startswith("leaves=") for line in lines)
+    # running totals; the last one counts every leaf and every class
+    totals = [tuple(int(part.split("=")[1]) for part in line.split()) for line in lines]
+    assert totals == sorted(totals)
+    assert totals[-1] == (1677, 737)
+    assert len(lines) == (1 if threads == "1" else 8)
+    assert main(["census", *flags]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_census_threads_below_one_exit_code(capsys):

@@ -1,4 +1,6 @@
+import hashlib
 import random
+from array import array
 from itertools import permutations, product
 
 import numpy as np
@@ -21,10 +23,13 @@ from looptrans.enumeration import (
     PackedClasses,
     _bracelet_trie,
     _canonical_mask,
+    _generate_leaves,
+    _loop_signs,
     _merge_shards,
     _trace_hash,
     canonical_codes,
     census,
+    class_counts,
     census_details,
     colour_classes,
     enumerate_classes,
@@ -118,6 +123,156 @@ def test_shard_independence():
     whole_codes = {canonical_form(whole.graph(i)).code for i in range(len(whole))}
     merged_codes = {canonical_form(merged.graph(i)).code for i in range(len(merged))}
     assert whole_codes == merged_codes
+
+
+def _dfs_leaves(vertices, colors, signs, emit):
+    """Reference oracle: the recursive generator the frontier replaced, less
+    its sharding; ``emit(tgt, sgn)`` sees each leaf's 1-based lists."""
+    V, C = vertices, colors
+    tgt = [[0] * (V + 1) for _ in range(C + 1)]
+    sgn = [[0] * (V + 1) for _ in range(C + 1)]
+    f1 = [0]
+
+    def rec(v, c, k):
+        if c > C:
+            if v == V:
+                emit(tgt, sgn)
+                return
+            if k <= v:
+                return
+            rec(v + 1, 1, k)
+            return
+        tc = tgt[c]
+        if tc[v]:
+            rec(v, c + 1, k)
+            return
+        sc = sgn[c]
+        for s in signs:
+            if c == 1:
+                cls = 1 if s > 0 else 2
+                if v == 1:
+                    f1[0] = cls
+                elif cls < f1[0]:
+                    continue
+            tc[v] = v
+            sc[v] = s
+            rec(v, c + 1, k)
+            tc[v] = 0
+            sc[v] = 0
+        if c == 1 and v > 1 and f1[0] > 0:
+            return
+        for w in range(v + 1, k + 1):
+            if tc[w]:
+                continue
+            if c == 1 and v == 1:
+                f1[0] = 0
+            tc[v], tc[w] = w, v
+            sc[v] = sc[w] = 1
+            rec(v, c + 1, k)
+            tc[v] = tc[w] = 0
+            sc[v] = sc[w] = 0
+        if k < V:
+            w = k + 1
+            if c == 1 and v == 1:
+                f1[0] = 0
+            tc[v], tc[w] = w, v
+            sc[v] = sc[w] = 1
+            rec(v, c + 1, k + 1)
+            tc[v] = tc[w] = 0
+            sc[v] = sc[w] = 0
+
+    rec(1, 1, 1)
+
+
+def _dfs_digest(vertices, colors, signs):
+    """Leaf count and SHA-256 of the oracle's leaves, each row its targets
+    then its signs, colour by colour, as int8."""
+    digest = hashlib.sha256()
+    buf = array("b")
+    count = 0
+
+    def emit(tgt, sgn):
+        nonlocal buf, count
+        for c in range(1, colors + 1):
+            buf.extend(tgt[c][1:])
+        for c in range(1, colors + 1):
+            buf.extend(sgn[c][1:])
+        count += 1
+        if count % 100_000 == 0:
+            digest.update(buf.tobytes())
+            buf = array("b")
+
+    _dfs_leaves(vertices, colors, signs, emit)
+    digest.update(buf.tobytes())
+    return count, digest.hexdigest()
+
+
+def _leaf_rows(blocks):
+    """The generator's blocks as one (N, 2*C*V) int8 array of packed rows."""
+    rows = [
+        np.concatenate([t.reshape(len(t), -1), s.reshape(len(s), -1)], axis=1)
+        for t, s in blocks
+    ]
+    return np.concatenate(rows) if rows else np.zeros((0, 0), np.int8)
+
+
+def _frontier_digest(vertices, colors, signs):
+    digest = hashlib.sha256()
+    count = 0
+    for tarr, sarr in _generate_leaves(vertices, colors, signs):
+        assert tarr.dtype == sarr.dtype == np.int8
+        assert tarr.shape == sarr.shape == (len(tarr), colors, vertices)
+        digest.update(_leaf_rows([(tarr, sarr)]).tobytes())
+        count += len(tarr)
+    return count, digest.hexdigest()
+
+
+@pytest.mark.parametrize("regime", enumeration.REGIMES)
+@pytest.mark.parametrize("colors", [1, 2, 3, 4])
+def test_frontier_leaves_match_dfs(colors, regime):
+    signs = _loop_signs(regime)
+    for vertices in range(1, 6 if colors == 4 else 7):
+        expected = _dfs_digest(vertices, colors, signs)
+        assert _frontier_digest(vertices, colors, signs) == expected, vertices
+
+
+def test_frontier_blocks_keep_dfs_order(monkeypatch):
+    # tiny blocks split the frontier at every slot that grows it
+    monkeypatch.setattr(enumeration, "_CHUNK_LEAVES", 7)
+    for vertices, colors, regime in [(4, 3, "mixed"), (5, 2, "mixed"), (5, 3, "dirichlet")]:
+        signs = _loop_signs(regime)
+        blocks = list(_generate_leaves(vertices, colors, signs))
+        assert max(len(t) for t, _ in blocks) <= 7 + 2 + vertices
+        count, digest = _dfs_digest(vertices, colors, signs)
+        rows = _leaf_rows(blocks)
+        assert (len(rows), hashlib.sha256(rows.tobytes()).hexdigest()) == (count, digest)
+
+
+def test_frontier_shards_partition_the_leaves(monkeypatch):
+    # V=1 and V=2 complete before the shard slot and go to shard 0 alone
+    for vertices, colors, regime in [
+        (1, 3, "mixed"), (2, 3, "mixed"), (2, 4, "mixed"), (3, 3, "mixed"),
+        (4, 3, "mixed"), (5, 3, "neumann"), (4, 2, "mixed"),
+    ]:
+        signs = _loop_signs(regime)
+        whole = _leaf_rows(_generate_leaves(vertices, colors, signs))
+        for shard_count in (2, 3, 5, 8):
+            shards = [
+                _leaf_rows(_generate_leaves(vertices, colors, signs, shard_count, i))
+                for i in range(shard_count)
+            ]
+            if vertices <= 2:
+                assert len(shards[0]) == len(whole)
+            seen = [bytes(row) for part in shards for row in part]
+            assert len(seen) == len(set(seen)) == len(whole)
+            assert set(seen) == {bytes(row) for row in whole}
+            # rows are dealt by their index in the whole frontier, so tiny
+            # blocks give the same shards
+            with monkeypatch.context() as patch:
+                patch.setattr(enumeration, "_CHUNK_LEAVES", 5)
+                for i, part in enumerate(shards):
+                    blocks = _generate_leaves(vertices, colors, signs, shard_count, i)
+                    assert np.array_equal(_leaf_rows(blocks).reshape(part.shape), part)
 
 
 def test_trace_hash_matches_trace_profile():
@@ -318,6 +473,50 @@ def test_canonical_codes_match_canonical_form(seed, colors, data):
     assert np.array_equal(codes[:3], codes[3:])
 
 
+@pytest.mark.parametrize("regime", enumeration.REGIMES)
+@pytest.mark.parametrize("colors,max_vertices", [(2, 6), (3, 5), (4, 4)])
+def test_class_counts_match_enumeration(colors, max_vertices, regime):
+    for vertices in range(1, max_vertices + 1):
+        packed = enumerate_packed(vertices, colors, regime)
+        expected = (len(packed), int(packed.treelike().sum()))
+        assert class_counts(vertices, colors, regime) == expected, vertices
+
+
+@pytest.mark.parametrize(
+    "vertices,colors,regime,classes,treelike",
+    [
+        # README and acceptance criterion 2
+        (2, 3, "mixed", 40, 30),
+        (3, 3, "mixed", 128, 96),
+        (4, 3, "mixed", 737, 472),
+        (5, 3, "mixed", 3_848, 2_304),
+        (6, 3, "mixed", 24_360, 12_792),
+        (7, 3, "mixed", 156_480, 73_216),
+        # acceptance criterion 3
+        (7, 3, "dirichlet", 1_407, 143),
+        (7, 3, "neumann", 1_407, 143),
+        (8, 3, "dirichlet", 6_877, 450),
+        (8, 3, "neumann", 6_877, 450),
+        # the slow suite
+        (8, 3, "mixed", 1_076_984, 439_968),
+        (9, 3, "mixed", 7_625_040, 2_715_648),
+        (11, 3, "dirichlet", 681_467, 13_566),
+        (12, 3, "dirichlet", 3_535_172, 44_772),
+    ],
+)
+def test_class_counts_match_expected_census(vertices, colors, regime, classes, treelike):
+    assert class_counts(vertices, colors, regime) == (classes, treelike)
+
+
+def test_class_counts_four_colours_and_bad_input():
+    assert class_counts(5, 4, "mixed")[0] == 1_239_488
+    assert class_counts(1, 1, "mixed") == (2, 2)
+    assert class_counts(3, 1, "neumann") == (0, 0)
+    for args in [(0, 3, "mixed"), (2, 0, "mixed"), (2, 3, "plaid")]:
+        with pytest.raises(ValueError):
+            class_counts(*args)
+
+
 def test_find_pairs_matches_all_pairs_decide():
     graphs = list(enumerate_classes(2, 3, "mixed"))
     assert len(graphs) == 40
@@ -378,7 +577,6 @@ def _scalar_quotient(pairs, with_braids):
     def permute_colours(g, perm):
         return LoopSignedGraph(g.vertices, tuple(g.adjacency[p - 1] for p in perm))
 
-    index = {pair_key(g1, g2): i for i, (g1, g2) in enumerate(pairs)}
     parent = list(range(len(pairs)))
 
     def find(x):
@@ -386,23 +584,27 @@ def _scalar_quotient(pairs, with_braids):
             x = parent[x]
         return x
 
-    def visit(i, h1, h2):
-        j = index.get(pair_key(h1, h2))
-        if j is not None:
-            parent[find(j)] = find(i)
-
+    # every colour permutation of every pair claims its key; a braided pair
+    # then finds any pair it equals up to colour permutation
+    index = {}
     for i, (g1, g2) in enumerate(pairs):
         for perm in permutations(range(1, colors + 1)):
-            visit(i, permute_colours(g1, perm), permute_colours(g2, perm))
-        if with_braids:
+            key = pair_key(permute_colours(g1, perm), permute_colours(g2, perm))
+            j = index.setdefault(key, i)
+            parent[find(i)] = find(j)
+    if with_braids:
+        for i, (g1, g2) in enumerate(pairs):
             for c in range(1, colors + 1):
                 for conj in range(1, colors + 1):
                     if c == conj:
                         continue
                     try:
-                        visit(i, braid(g1, c, conj), braid(g2, c, conj))
+                        key = pair_key(braid(g1, c, conj), braid(g2, c, conj))
                     except NotNormalizable:
                         continue
+                    j = index.get(key)
+                    if j is not None:
+                        parent[find(j)] = find(i)
     classes = {}
     for i in range(len(pairs)):
         classes.setdefault(find(i), set()).add(i)
@@ -432,12 +634,26 @@ def _shuffle_colours(pairs, rng):
 def test_quotients_match_scalar_oracle(vertices, regime):
     _, pairs = census_details(vertices, 3, regime)
     assert pairs
+    counts = []
     for inputs in (pairs, _shuffle_colours(pairs, random.Random(vertices))):
         colour = colour_classes(inputs)
         quilt = quilt_classes(inputs)
         assert {id(p) for cls in colour for p in cls} == {id(p) for p in inputs}
         assert _index_partition(inputs, colour) == _scalar_quotient(inputs, False)
         assert _index_partition(inputs, quilt) == _scalar_quotient(inputs, True)
+        counts.append((len(colour), len(quilt)))
+    assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("vertices,colour_count,quilt_count", [(4, 28, 17), (6, 176, 78)])
+def test_quotients_do_not_depend_on_colour_numbering(vertices, colour_count, quilt_count):
+    # a braid followed by a colour permutation must link two pairs however
+    # each pair's colours are numbered
+    _, pairs = census_details(vertices, 3, "mixed")
+    for seed in (None, 0, 1, 2):
+        inputs = pairs if seed is None else _shuffle_colours(pairs, random.Random(seed))
+        assert len(colour_classes(inputs)) == colour_count
+        assert len(quilt_classes(inputs)) == quilt_count
 
 
 def test_quotient_rejects_disconnected_and_mixed_size_pairs():

@@ -216,7 +216,14 @@ def _cmd_schreier(args: argparse.Namespace) -> int:
     values = []
     for token in args.character.split(","):
         token = token.strip()
-        values.append(1 if token in ("+", "1", "+1", "N") else -1)
+        if token in ("+", "1", "+1", "N"):
+            values.append(1)
+        elif token in ("-", "-1", "D"):
+            values.append(-1)
+        else:
+            raise InputError(
+                f"character value {token!r} is not one of +, 1, +1, N, -, -1, D"
+            )
     pair = pair_from_words(group, words, values)
     _emit_graph(schreier_graph(group, generators, pair), args.format)
     return 0
@@ -344,7 +351,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("schreier", help="Schreier coset graph from group data")
     p.add_argument("--generators", required=True, help="graph file; colours are the generators")
     p.add_argument("--subgroup", required=True, help="comma-separated words, e.g. 'e,1,21211,2121'")
-    p.add_argument("--character", required=True, help="comma-separated +-1 values")
+    p.add_argument(
+        "--character", required=True,
+        help="comma-separated values: +, 1, +1 or N for +1; -, -1 or D for -1",
+    )
     p.add_argument("--format", choices=("json", "cycles"), default="json")
     p.set_defaults(func=_cmd_schreier)
 

@@ -6,6 +6,12 @@ pair (the stabiliser of its smallest vertex up to sign, with the sign as the
 character), the component is recovered from that pair as a Schreier coset
 graph, and transplantability of unions of such graphs over a common group is
 equality of the summed induced characters.
+
+Both the Schreier graph and the induced character read one coset table: the
+right cosets Hg in BFS order under right multiplication by generators.  The
+induced character at x sums R(g_i x g_i^-1) over the cosets H g_i that x
+fixes, |G:H| products per class.  Conjugacy classes are cached on the
+closure, and a pair's validity check is remembered per group.
 """
 
 from __future__ import annotations
@@ -63,7 +69,13 @@ class GroupClosure:
         return self._lookup(inverse_code(self._codes[i]))  # type: ignore[attr-defined]
 
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
-        """Classes by orbit closure under conjugation by the generators."""
+        """Classes by orbit closure under conjugation by the generators.
+
+        Computed on the first call and cached on the closure.
+        """
+        cached = self.__dict__.get("_classes")
+        if cached is not None:
+            return cached
         codes = self._codes  # type: ignore[attr-defined]
         gens = [(c, inverse_code(c)) for c in (g.encode() for g in self.generators)]
         seen = [False] * self.order
@@ -83,7 +95,9 @@ class GroupClosure:
                         seen[y] = True
                         orbit.append(y)
             classes.append(tuple(sorted(orbit)))
-        return tuple(classes)
+        result = tuple(classes)
+        object.__setattr__(self, "_classes", result)
+        return result
 
 
 def closure(
@@ -106,19 +120,51 @@ class SubCharPair:
     character: Mapping[int, int]
 
     def check(self, group: GroupClosure) -> None:
-        if 0 not in self.subgroup:
+        """Raise ``ValueError`` unless this is a subgroup with a +-1 homomorphism.
+
+        The products checked are a * s for every element a and every s of a
+        generating set S picked greedily from the subgroup, |H| log|H|
+        products in all.  That suffices: every element is a word in S, so
+        H * S within H gives closure and R(a s) = R(a) R(s) gives the
+        homomorphism.  A success is remembered for this group object and this
+        character; a failure is not.
+        """
+        memo = self.__dict__.get("_checked")
+        if memo is not None and memo[0] is group and memo[1] == self.character:
+            return
+        h, char = self.subgroup, self.character
+        if 0 not in h:
             raise ValueError("subgroup must contain the identity")
-        if set(self.character) != self.subgroup:
+        if set(char) != h:
             raise ValueError("character must be defined exactly on the subgroup")
-        if any(v not in (1, -1) for v in self.character.values()):
+        if any(v not in (1, -1) for v in char.values()):
             raise ValueError("character values must be +1 or -1")
-        for a in self.subgroup:
-            for b in self.subgroup:
-                ab = group.mul(a, b)
-                if ab not in self.subgroup:
-                    raise ValueError("subgroup is not closed under multiplication")
-                if self.character[ab] != self.character[a] * self.character[b]:
-                    raise ValueError("character is not a homomorphism")
+        if char[0] != 1:
+            raise ValueError("character is not a homomorphism")
+        gens: list[int] = []
+        reached = [0]
+        seen = {0}
+        for cand in sorted(h):
+            if cand in seen:
+                continue
+            gens.append(cand)
+            # earlier elements still need the new generator, new ones need all
+            old = len(reached)
+            head = 0
+            while head < len(reached):
+                a = reached[head]
+                todo = gens[-1:] if head < old else gens
+                head += 1
+                for s in todo:
+                    b = group.mul(a, s)
+                    if b not in h:
+                        raise ValueError("subgroup is not closed under multiplication")
+                    if char[b] != char[a] * char[s]:
+                        raise ValueError("character is not a homomorphism")
+                    if b not in seen:
+                        seen.add(b)
+                        reached.append(b)
+        object.__setattr__(self, "_checked", (group, dict(char)))
 
 
 def cayley_graph(group: GroupClosure, generators: Sequence[SignedPerm]) -> LoopSignedGraph:
@@ -143,6 +189,31 @@ class NoBipartiteSystem(ValueError):
     """No coset representative system satisfies the bipartite condition."""
 
 
+def _coset_table(
+    group: GroupClosure, generator_indices: Sequence[int], subgroup: frozenset[int]
+) -> tuple[list[int], dict[int, int]]:
+    """Right cosets Hg in BFS discovery order from H under the generators.
+
+    Returns the representatives ``reps`` (``reps[0]`` is the identity, every
+    later one the product ``g_i * gamma`` that first reached its coset) and
+    ``coset_of``, the coset index of every element reached.
+    """
+    reps = [0]
+    coset_of = dict.fromkeys(subgroup, 0)
+    head = 0
+    while head < len(reps):
+        gi = reps[head]
+        head += 1
+        for gidx in generator_indices:
+            target = group.mul(gi, gidx)
+            if target not in coset_of:
+                cid = len(reps)
+                reps.append(target)
+                for x in subgroup:
+                    coset_of[group.mul(x, target)] = cid
+    return reps, coset_of
+
+
 def schreier_graph(
     group: GroupClosure,
     generators: Sequence[SignedPerm],
@@ -162,42 +233,26 @@ def schreier_graph(
         if not gen.is_involution():
             raise ValueError("generators must square to the identity")
     pair.check(group)
-    h = pair.subgroup
-    coset_of: dict[int, int] = {}
-    reps: list[int] = []
-
-    def add_coset(rep: int) -> int:
-        cid = len(reps)
-        reps.append(rep)
-        for x in h:
-            coset_of[group.mul(x, rep)] = cid
-        return cid
-
-    add_coset(0)
     gen_idx = [group.index_of(gen) for gen in generators]
+    reps, coset_of = _coset_table(group, gen_idx, pair.subgroup)
     edges: list[list[tuple[int, int]]] = [[] for _ in generators]
     loops: list[dict[int, str]] = [{} for _ in generators]
-    head = 0
-    while head < len(reps):
-        i = head
-        head += 1
-        gi = reps[i]
+    for i, gi in enumerate(reps):
         for c, gidx in enumerate(gen_idx):
             target = group.mul(gi, gidx)
-            j = coset_of.get(target)
-            if j is None:
-                # tree edge; rep of the new coset is g_i * gamma, so its sign is R(e) = 1
-                j = add_coset(target)
-                edges[c].append((i + 1, j + 1))
-            elif j == i:
+            j = coset_of[target]
+            if j == i:
                 elem = group.mul(target, group.inv(gi))
                 loops[c][i + 1] = "N" if pair.character[elem] > 0 else "D"
             elif j > i:
-                elem = group.mul(target, group.inv(reps[j]))
-                if pair.character[elem] < 0:
-                    raise NoBipartiteSystem(
-                        "no bipartite representative system for this pair"
-                    )
+                # a tree edge reaches the new coset's own representative, so
+                # its sign R(e) = 1 needs no product
+                if target != reps[j]:
+                    elem = group.mul(target, group.inv(reps[j]))
+                    if pair.character[elem] < 0:
+                        raise NoBipartiteSystem(
+                            "no bipartite representative system for this pair"
+                        )
                 edges[c].append((i + 1, j + 1))
             # j < i: recorded and checked from j's side (the character takes
             # the same value on an element and its inverse)
@@ -237,22 +292,31 @@ def associated_pairs(
 def induced_character(group: GroupClosure, pair: SubCharPair) -> dict[int, int]:
     """Character of the induced representation as a class function.
 
-    Keys are the smallest element indices of the conjugacy classes; the value
-    at a class [p] is (1/|H|) sum over g with g p g^-1 in H of R(g p g^-1).
+    Keys are the smallest element indices of the conjugacy classes.  With the
+    right coset representatives g_i of the coset table, the value at a class
+    [x] is the sum of R(g_i x g_i^-1) over the cosets H g_i that x fixes
+    (H g_i x = H g_i).  R is a homomorphism into +-1, so the summand is
+    constant on a coset and this equals the Frobenius formula
+    (1/|H|) sum over g in G with g x g^-1 in H of R(g x g^-1), at |G:H|
+    products per class.
     """
     pair.check(group)
     h = pair.subgroup
+    gens = [group.index_of(g) for g in group.generators]
+    reps, coset_of = _coset_table(group, gens, h)
+    if len(reps) * len(h) != group.order:
+        raise RuntimeError("the cosets of the subgroup do not cover the group")
+    inv_reps = [group.inv(r) for r in reps]
+    char = pair.character
     out = {}
     for cls in group.conjugacy_classes():
-        p = cls[0]
+        x = cls[0]
         total = 0
-        for i in range(group.order):
-            conj = group.mul(group.mul(i, p), group.inv(i))
-            if conj in h:
-                total += pair.character[conj]
-        if total % len(h):
-            raise RuntimeError("induced character value is not an integer")
-        out[p] = total // len(h)
+        for i, gi in enumerate(reps):
+            y = group.mul(gi, x)
+            if coset_of[y] == i:
+                total += char[group.mul(y, inv_reps[i])]
+        out[x] = total
     return out
 
 

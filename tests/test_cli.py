@@ -217,6 +217,22 @@ def test_schreier_cli(tmp_path, capsys):
     assert is_isomorphic(rebuilt, st) is not None
 
 
+def test_schreier_cli_character_tokens(tmp_path, capsys):
+    gens = tmp_path / "gens.json"
+    gens.write_text(dumps_json(catalog("square-triangle").graphs[0]))
+    base = ["schreier", "--generators", str(gens), "--subgroup", "e,1,21211,2121"]
+    assert main(base + ["--character", "+,-,+,-"]) == 0
+    expected = capsys.readouterr().out
+    # every accepted spelling of the two values gives the same graph
+    assert main(base + ["--character=N, -1,+1,D"]) == 0
+    assert capsys.readouterr().out == expected
+    for bad in ("+,0,+,x", "+,-,+,?", "+,-,+,", "+,-,+,2"):
+        assert main(base + ["--character", bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "character value" in captured.err
+
+
 def test_export_dot(gww_files, capsys):
     a, _ = gww_files
     assert main(["export", str(a), "--format", "dot"]) == 0

@@ -1,9 +1,24 @@
+import itertools
 import random
 
 import pytest
 
-from looptrans.algebra import SignedPerm, compose, inverse, word_product
-from looptrans.graph import LoopSignedGraph, components, is_isomorphic, subgraph
+from looptrans.algebra import (
+    DEFAULT_CLOSURE_CAP,
+    ClosureCapExceeded,
+    SignedPerm,
+    compose,
+    inverse,
+    word_product,
+)
+from looptrans.enumeration import candidate_pairs_packed, census_details, enumerate_packed
+from looptrans.graph import (
+    LoopSignedGraph,
+    components,
+    disjoint_union,
+    is_isomorphic,
+    subgraph,
+)
 from looptrans.reps import (
     NoBipartiteSystem,
     SubCharPair,
@@ -16,6 +31,7 @@ from looptrans.reps import (
     pair_from_words,
     schreier_graph,
 )
+from looptrans.transplant import transplantable
 
 from conftest import random_graph
 
@@ -29,6 +45,51 @@ def d4(square_triangle):
     h = pair_from_words(group, data.subgroup_words, data.character)
     h_hat = pair_from_words(group, data.hat_subgroup_words, data.hat_character)
     return data, group, h, h_hat
+
+
+@pytest.fixture(scope="module")
+def census_pairs():
+    """The V=4 mixed and V=7 Neumann census pairs (118 and 7)."""
+    return census_details(4, 3, "mixed")[1] + census_details(7, 3, "neumann")[1]
+
+
+def _union_pairs(g1, g2, cap=DEFAULT_CLOSURE_CAP):
+    union = disjoint_union([g1, g2])
+    return (union, *associated_pairs(union, cap))
+
+
+def _brute_induced_character(group, pair):
+    """Reference oracle: the Frobenius sum over every element of the group.
+
+    This is the earlier implementation of ``induced_character``, kept as an
+    independent check of the coset-table formula.
+    """
+    pair.check(group)
+    h = pair.subgroup
+    out = {}
+    for cls in group.conjugacy_classes():
+        p = cls[0]
+        total = 0
+        for i in range(group.order):
+            conj = group.mul(group.mul(i, p), group.inv(i))
+            if conj in h:
+                total += pair.character[conj]
+        if total % len(h):
+            raise RuntimeError("induced character value is not an integer")
+        out[p] = total // len(h)
+    return out
+
+
+def _brute_check(group, pair):
+    """Reference oracle: every product of two subgroup elements."""
+    h, char = pair.subgroup, pair.character
+    if 0 not in h or set(char) != h or any(v not in (1, -1) for v in char.values()):
+        return False
+    return all(
+        group.mul(a, b) in h and char[group.mul(a, b)] == char[a] * char[b]
+        for a in h
+        for b in h
+    )
 
 
 def test_closure_orders(d4, gww):
@@ -234,3 +295,138 @@ def test_character_transplantability_equivalence(square_triangle):
     pulled = SubCharPair(frozenset(pulled_sub), pulled_char)
     _, own_pairs = associated_pairs(s)
     assert characters_equal(group, list(own_pairs), [pulled])
+
+
+def _whole_and_trivial(group):
+    whole = range(group.order)
+    return [
+        SubCharPair(frozenset([0]), {0: 1}),
+        SubCharPair(frozenset(whole), dict.fromkeys(whole, 1)),
+    ]
+
+
+def test_induced_character_against_brute_force(d4, gww, square_triangle, census_pairs):
+    _, group, h, h_hat = d4
+    cases = [(group, p) for p in (h, h_hat, *_whole_and_trivial(group))]
+    catalog_pairs = [gww.graphs[:2], square_triangle.graphs[:2]]
+    for i, (g1, g2) in enumerate([*catalog_pairs, *census_pairs]):
+        _, grp, subs = _union_pairs(g1, g2)
+        cases += [(grp, p) for p in subs]
+        if i < 2:
+            cases += [(grp, p) for p in _whole_and_trivial(grp)]
+    assert len(cases) == 4 + 2 * 127 + 4
+    for grp, pair in cases:
+        assert induced_character(grp, pair) == _brute_induced_character(grp, pair)
+
+
+def test_induced_character_is_signed_trace_on_component(gww, square_triangle, census_pairs):
+    # the coset action of an associated pair is the action on its component,
+    # so the induced character is the signed trace over the component
+    for g1, g2 in [gww.graphs[:2], square_triangle.graphs[:2], *census_pairs[::5]]:
+        union, grp, subs = _union_pairs(g1, g2)
+        for comp, pair in zip(components(union), subs):
+            for x, value in induced_character(grp, pair).items():
+                elem = grp.elements[x]
+                assert value == sum(
+                    elem.signs[w - 1] for w in comp if elem.targets[w - 1] == w
+                )
+
+
+def test_characters_agree_with_transplantability(gww, square_triangle):
+    # catalog pairs, the V=4 mixed candidates (all transplantable) and the V=6
+    # mixed candidates whose union closes within the cap: every negative and
+    # every eighth positive
+    pairs = [gww.graphs[:2], square_triangle.graphs[:2]]
+    for vertices, step in ((4, 1), (6, 8)):
+        packed = enumerate_packed(vertices, 3, "mixed")
+        positives = 0
+        for i, j in candidate_pairs_packed(packed):
+            g1, g2 = packed.graph(i), packed.graph(j)
+            if transplantable(g1, g2):
+                positives += 1
+                if (positives - 1) % step:
+                    continue
+            pairs.append((g1, g2))
+    checked = {True: 0, False: 0}
+    for g1, g2 in pairs:
+        try:
+            _, grp, subs = _union_pairs(g1, g2, cap=3000)
+        except ClosureCapExceeded:
+            continue
+        verdict = transplantable(g1, g2)
+        assert characters_equal(grp, [subs[0]], [subs[1]]) == verdict
+        checked[verdict] += 1
+    assert checked[False] >= 30 and checked[True] >= 200
+
+
+def test_check_matches_all_products(d4):
+    # every subset of the order-8 group that holds the identity, with every
+    # character on it: the generator-based check accepts exactly the pairs
+    # the |H|^2 products accept
+    _, group, _, _ = d4
+    accepted = 0
+    others = range(1, group.order)
+    for k in range(group.order):
+        for rest in itertools.combinations(others, k):
+            sub = (0, *rest)
+            for values in itertools.product((1, -1), repeat=len(sub)):
+                pair = SubCharPair(frozenset(sub), dict(zip(sub, values)))
+                try:
+                    pair.check(group)
+                    ok = True
+                except ValueError:
+                    ok = False
+                assert ok == _brute_check(group, pair)
+                accepted += ok
+    # homomorphisms to +-1 on the 10 subgroups of D4: 1 on the trivial one,
+    # 2 on each of the five of order 2 and on the rotations, 4 on each Klein
+    # four-group and on the whole group
+    assert accepted == 1 + 2 * 5 + 2 + 4 * 2 + 4
+
+
+def test_invalid_pairs_raise_on_every_call(d4):
+    data, group, h, _ = d4
+    gens = list(data.generators)
+    a, b = (group.index_of(g) for g in gens)
+    non_subgroup = SubCharPair(frozenset([0, a, b]), {0: 1, a: 1, b: 1})
+    whole = range(group.order)
+    not_hom = SubCharPair(frozenset(whole), {i: -1 if i == a else 1 for i in whole})
+    for bad, message in ((non_subgroup, "not closed"), (not_hom, "not a homomorphism")):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                schreier_graph(group, gens, bad)
+            with pytest.raises(ValueError, match=message):
+                induced_character(group, bad)
+            with pytest.raises(ValueError, match=message):
+                characters_equal(group, [h], [bad])
+
+
+def test_check_is_repeated_for_another_group(d4):
+    data, group, _, _ = d4
+    a = group.index_of(data.generators[0])
+    pair = SubCharPair(frozenset([0, a]), {0: 1, a: -1})
+    pair.check(group)
+    assert induced_character(group, pair)[0] == group.order // 2
+    # in the cyclic group of order 3 the same indices are no subgroup
+    rot = closure([SignedPerm((2, 3, 1), (1, 1, 1))])
+    assert a < rot.order
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not closed"):
+            induced_character(rot, pair)
+    assert induced_character(group, pair)[0] == group.order // 2
+
+
+def test_check_sees_a_changed_character(d4):
+    data, group, _, _ = d4
+    whole = range(group.order)
+    pair = SubCharPair(frozenset(whole), dict.fromkeys(whole, 1))
+    pair.check(group)
+    pair.character[group.index_of(data.generators[0])] = -1  # type: ignore[index]
+    with pytest.raises(ValueError, match="not a homomorphism"):
+        pair.check(group)
+
+
+def test_conjugacy_classes_cached(d4):
+    _, group, _, _ = d4
+    first = group.conjugacy_classes()
+    assert group.conjugacy_classes() is first

@@ -370,9 +370,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_dash_values(argv: list[str]) -> list[str]:
+    """Write ``--character VALUE`` as ``--character=VALUE``.
+
+    argparse takes a separate value that starts with '-' for an option, but a
+    character such as ``-,+`` legitimately starts with a minus.
+    """
+    out: list[str] = []
+    for token in argv:
+        dash_value = token.startswith("-") and not token.startswith("--")
+        if dash_value and out and out[-1] == "--character":
+            out[-1] = f"--character={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (

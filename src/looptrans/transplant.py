@@ -5,8 +5,9 @@ invertible matrix T with B^c T = T A^c for every colour exists.  Two exact
 routes are implemented:
 
 * the orbit route propagates the constraint B^c T = T A^c over the entries of
-  T: positions of T fall into signed orbits, each surviving orbit contributes
-  one basis matrix with entries 0, +-1.  Whether the span contains an
+  T: one BFS labels every entry with the least entry of its signed orbit and
+  a sign relative to it, and each orbit without a sign clash contributes one
+  basis matrix with entries 0, +-1.  Whether the span contains an
   invertible element is settled exactly by a multiplicity argument: writing
   m, n for the multiplicity vectors of the two adjacency representations over
   the group they generate jointly, the orbit counts give dim Hom(1,2) = m.n,
@@ -38,6 +39,9 @@ from .algebra import (
 from .graph import LoopSignedGraph, validate
 
 _WITNESS_RETRIES = 32
+
+# (root, sign, live) of every entry of T, as ``_orbit_labels`` returns them
+_Labels = tuple[list[int], list[int], list[int]]
 
 
 @dataclass(frozen=True)
@@ -156,157 +160,121 @@ def _group_verdict(
     return None
 
 
-class _SignedUnionFind:
-    """Union-find over positions carrying a relative sign; orbits mixing both
-    signs of one position are marked dead."""
-
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-        self.sign = [1] * n
-        self.dead = [False] * n
-        self.size = [1] * n
-
-    def union(self, x: int, y: int, rel: int) -> None:
-        rx, sx = self._find(x)
-        ry, sy = self._find(y)
-        if rx == ry:
-            if sx * sy != rel:
-                self.dead[rx] = True
-            return
-        if self.size[rx] < self.size[ry]:
-            rx, ry = ry, rx
-            sx, sy = sy, sx
-        # attach ry under rx; sign(ry -> rx) chosen so that x and y differ by rel
-        self.parent[ry] = rx
-        self.sign[ry] = sx * sy * rel
-        self.size[rx] += self.size[ry]
-        if self.dead[ry]:
-            self.dead[rx] = True
-
-    def _find(self, x: int) -> tuple[int, int]:
-        path = []
-        while self.parent[x] != x:
-            path.append(x)
-            x = self.parent[x]
-        s = 1
-        for node in reversed(path):
-            s *= self.sign[node]
-            self.parent[node] = x
-            self.sign[node] = s
-        return x, 1 if not path else self.sign[path[0]]
-
-    def components(self) -> tuple[int, list[tuple[int, int]]]:
-        """Number of live orbits and per-position (root, sign to root)."""
-        info = []
-        live_roots = set()
-        for x in range(len(self.parent)):
-            r, s = self._find(x)
-            info.append((r, s))
-            if not self.dead[r]:
-                live_roots.add(r)
-        return len(live_roots), info
-
-
-def _orbit_structure(g1: LoopSignedGraph, g2: LoopSignedGraph) -> _SignedUnionFind:
+def _orbit_labels(g1: LoopSignedGraph, g2: LoopSignedGraph) -> _Labels:
     """Signed orbits of the generator pairs acting on the entries of T.
 
-    Position (i, j) indexes T_{ij} with i a vertex of g2 and j of g1; the
+    Position p = i*n + j indexes T_{ij} with i a vertex of g2 and j of g1; the
     colour-c constraint links (i, j) to (i', j') where i' and j' are the
     c-neighbours, with relative sign equal to the product of the two incidence
-    signs.  A Dirichlet/Neumann clash at a loop pins the entry to zero.
+    signs.  One BFS per orbit labels each position with ``root``, the least
+    position of its orbit, and ``sign``, its sign relative to the root.  An
+    orbit that reaches a position with both signs (a Dirichlet/Neumann clash at
+    a loop, say) pins its entries to zero; the others are ``live``, returned
+    as their roots in increasing order.
     """
     n = g1.vertices
-    uf = _SignedUnionFind(n * n)
-    for c in range(1, g1.colors + 1):
-        p1 = g1.color(c)
-        p2 = g2.color(c)
-        for i in range(n):
-            ti, si = p2.targets[i], p2.signs[i]
-            for j in range(n):
-                tj, sj = p1.targets[j], p1.signs[j]
-                uf.union(i * n + j, (ti - 1) * n + (tj - 1), si * sj)
-    return uf
+    maps = []
+    for a, b in zip(g1.adjacency, g2.adjacency):
+        t1 = [t - 1 for t in a.targets]
+        rows = [(t - 1) * n for t in b.targets]
+        maps.append((
+            [r + t for r in rows for t in t1],
+            [x * y for x in b.signs for y in a.signs],
+        ))
+    root = [-1] * (n * n)
+    sign = [0] * (n * n)
+    live = []
+    for start in range(n * n):
+        if root[start] >= 0:
+            continue
+        root[start] = start
+        sign[start] = 1
+        consistent = True
+        stack = [start]
+        while stack:
+            p = stack.pop()
+            for image, rel in maps:
+                q = image[p]
+                s = sign[p] * rel[p]
+                if root[q] < 0:
+                    root[q] = start
+                    sign[q] = s
+                    stack.append(q)
+                elif sign[q] != s:
+                    consistent = False
+        if consistent:
+            live.append(start)
+    return root, sign, live
 
 
 def intertwiner_space(g1: LoopSignedGraph, g2: LoopSignedGraph) -> list[RatMatrix]:
     """Basis of {T : B^c T = T A^c for all c}, one 0/+-1 matrix per orbit.
 
-    Each basis matrix is normalized so that its first non-zero entry in
-    row-major order is +1.  The empty list is valid output.
+    Each basis matrix is +1 at its first non-zero entry in row-major order,
+    and the basis is ordered by that entry.  The empty list is valid output.
     """
     _check_compatible(g1, g2)
     if g1.vertices != g2.vertices:
         return []
     n = g1.vertices
-    uf = _orbit_structure(g1, g2)
-    _, info = uf.components()
-    by_root: dict[int, list[tuple[int, int]]] = {}
-    for pos, (root, sign) in enumerate(info):
-        if not uf.dead[root]:
-            by_root.setdefault(root, []).append((pos, sign))
-    basis = []
-    for root in sorted(by_root):
-        members = by_root[root]
-        lead_sign = min(members)[1]
-        rows = [[0] * n for _ in range(n)]
-        for pos, sign in members:
-            rows[pos // n][pos % n] = sign * lead_sign
-        basis.append(RatMatrix.from_rows(rows))
-    return basis
-
-
-def _orbit_dimension(g1: LoopSignedGraph, g2: LoopSignedGraph) -> int:
-    live, _ = _orbit_structure(g1, g2).components()
-    return live
-
-
-def _equivalent_representations(g1: LoopSignedGraph, g2: LoopSignedGraph) -> bool:
-    """Exact transplantability test via the three intertwiner dimensions."""
-    if g1.vertices != g2.vertices:
-        return False
-    d12 = _orbit_dimension(g1, g2)
-    d11 = _orbit_dimension(g1, g1)
-    d22 = _orbit_dimension(g2, g2)
-    return d12 == d11 == d22
-
-
-def _invertible_combination(
-    basis: Sequence[RatMatrix], n: int, seed: int | None
-) -> RatMatrix | None:
-    """An invertible integer combination of disjoint-support basis matrices."""
-    if not basis:
-        return None
-    supports = [
-        [(i, j) for i in range(n) for j in range(n) if b[i, j] != 0] for b in basis
+    root, sign, live = _orbit_labels(g1, g2)
+    flats = {r: [0] * (n * n) for r in live}
+    for p, r in enumerate(root):
+        if r in flats:
+            flats[r][p] = sign[p]
+    return [
+        RatMatrix.from_rows([f[i : i + n] for i in range(0, n * n, n)]) for f in flats.values()
     ]
 
-    def assemble(coeffs: Sequence[int]) -> list[list[int]]:
-        rows = [[0] * n for _ in range(n)]
-        for b, sup, k in zip(basis, supports, coeffs):
-            if k == 0:
-                continue
-            for i, j in sup:
-                rows[i][j] = k * int(b[i, j])
-        return rows
+
+def _equivalent_representations(g1: LoopSignedGraph, g2: LoopSignedGraph) -> _Labels | None:
+    """Exact transplantability test via the three intertwiner dimensions.
+
+    Returns the (g1, g2) orbit labelling when dim Hom(1,2), dim Hom(1,1) and
+    dim Hom(2,2) agree, else None.
+    """
+    if g1.vertices != g2.vertices:
+        return None
+    labels = _orbit_labels(g1, g2)
+    d12 = len(labels[2])
+    if d12 == len(_orbit_labels(g1, g1)[2]) == len(_orbit_labels(g2, g2)[2]):
+        return labels
+    return None
+
+
+def _invertible_combination(labels: _Labels, n: int, seed: int | None) -> RatMatrix | None:
+    """An invertible integer combination of the orbit basis matrices.
+
+    ``labels`` is an ``_orbit_labels`` result; coefficient k scales the k-th
+    live orbit, and the orbits have disjoint supports.
+    """
+    root, sign, live = labels
+    if not live:
+        return None
+    slot = {r: k for k, r in enumerate(live)}
+    members = [(p, slot[r], sign[p]) for p, r in enumerate(root) if r in slot]
 
     def try_coeffs(coeffs: Sequence[int]) -> RatMatrix | None:
-        rows = assemble(coeffs)
+        flat = [0] * (n * n)
+        for p, k, s in members:
+            flat[p] = coeffs[k] * s
+        rows = [flat[i : i + n] for i in range(0, n * n, n)]
         if int_det(rows) != 0:
             return RatMatrix.from_rows(rows)
         return None
 
-    found = try_coeffs([1] * len(basis))
+    found = try_coeffs([1] * len(live))
     if found is not None:
         return found
     rng = random.Random(seed if seed is not None else 0)
     for bound in (3, 1 << 30):
         for _ in range(_WITNESS_RETRIES):
-            coeffs = [rng.randint(-bound, bound) for _ in basis]
+            coeffs = [rng.randint(-bound, bound) for _ in live]
             found = try_coeffs(coeffs)
             if found is not None:
                 return found
-    if len(basis) <= 8:
-        for coeffs in product((-1, 0, 1), repeat=len(basis)):
+    if len(live) <= 8:
+        for coeffs in product((-1, 0, 1), repeat=len(live)):
             found = try_coeffs(coeffs)
             if found is not None:
                 return found
@@ -321,15 +289,14 @@ def verify_witness(g1: LoopSignedGraph, g2: LoopSignedGraph, t: RatMatrix) -> bo
     n = g1.vertices
     if t.rows != n or t.cols != n:
         raise ValueError(f"witness must be {n}x{n}, got {t.rows}x{t.cols}")
-    for c in range(1, g1.colors + 1):
-        p1 = g1.color(c)
-        p2 = g2.color(c)
-        for i in range(n):
-            ti, si = p2.targets[i], p2.signs[i]
-            for j in range(n):
-                tj, sj = p1.targets[j], p1.signs[j]
-                # (B^c T)_{ij} = si * T[ti, j];  (T A^c)_{ij} = T[i, tj] * sj
-                if si * t[ti - 1, j] != sj * t[i, tj - 1]:
+    rows = t.entries
+    for a, b in zip(g1.adjacency, g2.adjacency):
+        for row, ti, si in zip(rows, b.targets, b.signs):
+            image = rows[ti - 1]
+            # (B^c T)_{ij} = si * T[ti, j];  (T A^c)_{ij} = T[i, tj] * sj
+            for x, tj, sj in zip(image, a.targets, a.signs):
+                y = row[tj - 1]
+                if x != (y if si == sj else -y):
                     return False
     return t.is_invertible()
 
@@ -354,7 +321,8 @@ def decide(
     route: Literal["group", "orbit"] = "group" if method == "group" else "orbit"
     if g1.vertices != g2.vertices:
         return Decision(False, route, certificate=Certificate("trace", ()))
-    if route == "group" or not _equivalent_representations(g1, g2):
+    labels = _equivalent_representations(g1, g2) if route == "orbit" else None
+    if labels is None:
         cert = _group_verdict(g1, g2, cap)
         if cert is not None:
             return Decision(False, route, certificate=cert)
@@ -362,7 +330,9 @@ def decide(
             raise RuntimeError("the group route found no certificate for a negative verdict")
     if g1 == g2:
         return Decision(True, route, witness=RatMatrix.identity(g1.vertices))
-    witness = _invertible_combination(intertwiner_space(g1, g2), g1.vertices, seed)
+    if labels is None:
+        labels = _orbit_labels(g1, g2)
+    witness = _invertible_combination(labels, g1.vertices, seed)
     if witness is None:
         raise RuntimeError("no invertible intertwiner found for a transplantable pair")
     return Decision(True, route, witness=witness)
@@ -371,7 +341,7 @@ def decide(
 def transplantable(g1: LoopSignedGraph, g2: LoopSignedGraph) -> bool:
     """Verdict only; no witness or certificate construction."""
     _check_compatible(g1, g2)
-    return _equivalent_representations(g1, g2)
+    return _equivalent_representations(g1, g2) is not None
 
 
 def pairwise_check(graphs: Sequence[LoopSignedGraph]) -> list[list[bool]]:

@@ -231,6 +231,15 @@ def test_schreier_cli_character_tokens(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "character value" in captured.err
+    # a separate value that starts with a minus parses as the --character=VALUE form
+    swapped = base[:-1] + ["1,e,21211,2121"]
+    for value, code in (("-,+,+,-", 0), ("-1,N,+1,D", 0), ("-,0,+,-", 2)):
+        assert main(swapped + [f"--character={value}"]) == code
+        joined = capsys.readouterr()
+        assert main(swapped + ["--character", value]) == code
+        separate = capsys.readouterr()
+        assert (separate.out, separate.err) == (joined.out, joined.err)
+        assert (joined.out != "") == (code == 0)
 
 
 def test_export_dot(gww_files, capsys):

@@ -1,15 +1,20 @@
+import json
 import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import looptrans
 from looptrans import transplant
-from looptrans.algebra import ClosureCapExceeded, RatMatrix, word_product
-from looptrans.graph import LoopSignedGraph
+from looptrans.algebra import ClosureCapExceeded, RatMatrix, SignedPerm, word_product
+from looptrans.catalog import catalog
+from looptrans.enumeration import census_details
+from looptrans.graph import LoopSignedGraph, disjoint_union, permute
 from looptrans.invariants import word_trace
 from looptrans.reps import closure as group_closure
 from looptrans.transplant import (
@@ -22,6 +27,8 @@ from looptrans.transplant import (
 )
 
 from conftest import random_graph
+
+CANDIDATES = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "candidates.json"
 
 
 def _single_vertex(sign):
@@ -250,3 +257,234 @@ def test_decide_under_optimized_python():
         env=env, capture_output=True, text=True, check=True, timeout=120,
     ).stdout.split("\n")
     assert out[:2] == ["auto True True False True", "group True True False True"]
+
+
+# ------------------------------------------------ properties of the decision
+
+@st.composite
+def _graph_pairs(draw):
+    """Two graphs with equal vertex and colour counts, relabelled at random.
+
+    ``random_graph`` mixes Dirichlet and Neumann loops and makes disconnected
+    graphs too.  A third of the pairs are a graph and a relabelling of it, and
+    a third are the square/triangle pair each joined with the same random
+    two-colour graph, so that positives with non-trivial witnesses occur.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("random", "relabelled", "joined")))
+    if kind == "joined":
+        s, t = catalog("square-triangle").graphs
+        h = random_graph(rng, draw(st.integers(1, 4)), 2)
+        a, b = disjoint_union([s, h]), disjoint_union([t, h])
+    else:
+        vertices, colors = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+        a = random_graph(rng, vertices, colors)
+        b = a if kind == "relabelled" else random_graph(rng, vertices, colors)
+    relabel = draw(st.permutations(range(1, a.vertices + 1)))
+    return a, permute(b, tuple(relabel))
+
+
+@settings(max_examples=120, deadline=None)
+@given(pair=_graph_pairs())
+def test_decide_is_symmetric_and_its_witnesses_verify(pair):
+    a, b = pair
+    forward, backward = decide(a, b), decide(b, a)
+    assert forward.verdict == backward.verdict
+    if forward.verdict:
+        assert verify_witness(a, b, forward.witness)
+        assert verify_witness(b, a, backward.witness)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    vertices=st.integers(1, 6),
+    colors=st.integers(1, 4),
+    data=st.data(),
+)
+def test_decide_relabelled_graph_is_positive(seed, vertices, colors, data):
+    g = random_graph(random.Random(seed), vertices, colors)
+    h = permute(g, tuple(data.draw(st.permutations(range(1, vertices + 1)))))
+    decision = decide(g, h)
+    assert decision.verdict
+    assert verify_witness(g, h, decision.witness)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=_graph_pairs())
+def test_transplantable_matches_group_route(pair):
+    a, b = pair
+    assert transplantable(a, b) == decide(a, b, method="group").verdict
+
+
+# ------------------------------------------- independent intertwiner oracles
+
+
+def _dense(p):
+    n = p.size
+    m = [[0] * n for _ in range(n)]
+    for i, (t, s) in enumerate(zip(p.targets, p.signs)):
+        m[i][t - 1] = s
+    return m
+
+
+def _intertwining_system(a, b):
+    """Rows of the integer system B^c T - T A^c = 0 in the n^2 entries of T."""
+    n = a.vertices
+    rows = []
+    for pa, pb in zip(a.adjacency, b.adjacency):
+        am, bm = _dense(pa), _dense(pb)
+        for i in range(n):
+            for j in range(n):
+                row = [0] * (n * n)
+                for k in range(n):
+                    row[k * n + j] += bm[i][k]
+                    row[i * n + k] -= am[k][j]
+                rows.append(row)
+    return rows
+
+
+def _rank(rows):
+    """Exact rank by Gaussian elimination over the rationals."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for r in range(rank + 1, len(m)):
+            if m[r][col] != 0:
+                f = m[r][col] / m[rank][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def test_intertwiner_space_matches_exact_nullity():
+    rng = random.Random(43)
+    cases = [(random_graph(rng, v, c), random_graph(rng, v, c))
+             for v in range(1, 6) for c in range(1, 4) for _ in range(4)]
+    cases += [(g, permute(g, tuple(rng.sample(range(1, g.vertices + 1), g.vertices))))
+              for g, _ in cases[::3]]
+    cases.append(catalog("square-triangle").graphs)
+    for a, b in cases:
+        n = a.vertices
+        system = _intertwining_system(a, b)
+        basis = intertwiner_space(a, b)
+        assert len(basis) == n * n - _rank(system)
+        support = set()
+        for m in basis:
+            flat = [x for row in m.entries for x in row]
+            assert set(flat) <= {-1, 0, 1}
+            assert all(sum(r * x for r, x in zip(eq, flat)) == 0 for eq in system)
+            assert next(x for x in flat if x) == 1
+            own = {p for p, x in enumerate(flat) if x}
+            assert not own & support
+            support |= own
+
+
+class _SignedUnionFind:
+    """The earlier orbit route, kept as a reference: a union-find over the
+    entries of T carrying a sign relative to the root."""
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+        self.sign = [1] * n
+        self.dead = [False] * n
+        self.size = [1] * n
+
+    def union(self, x, y, rel):
+        rx, sx = self._find(x)
+        ry, sy = self._find(y)
+        if rx == ry:
+            if sx * sy != rel:
+                self.dead[rx] = True
+            return
+        if self.size[rx] < self.size[ry]:
+            rx, ry = ry, rx
+            sx, sy = sy, sx
+        self.parent[ry] = rx
+        self.sign[ry] = sx * sy * rel
+        self.size[rx] += self.size[ry]
+        if self.dead[ry]:
+            self.dead[rx] = True
+
+    def _find(self, x):
+        path = []
+        while self.parent[x] != x:
+            path.append(x)
+            x = self.parent[x]
+        s = 1
+        for node in reversed(path):
+            s *= self.sign[node]
+            self.parent[node] = x
+            self.sign[node] = s
+        return x, 1 if not path else self.sign[path[0]]
+
+
+def _reference_orbits(g1, g2):
+    n = g1.vertices
+    uf = _SignedUnionFind(n * n)
+    for c in range(1, g1.colors + 1):
+        p1, p2 = g1.color(c), g2.color(c)
+        for i in range(n):
+            ti, si = p2.targets[i], p2.signs[i]
+            for j in range(n):
+                tj, sj = p1.targets[j], p1.signs[j]
+                uf.union(i * n + j, (ti - 1) * n + (tj - 1), si * sj)
+    by_root = {}
+    for pos in range(n * n):
+        root, sign = uf._find(pos)
+        if not uf.dead[root]:
+            by_root.setdefault(root, []).append((pos, sign))
+    return by_root
+
+
+def _reference_basis(g1, g2):
+    n = g1.vertices
+    basis = set()
+    for members in _reference_orbits(g1, g2).values():
+        lead_sign = min(members)[1]
+        flat = [0] * (n * n)
+        for pos, sign in members:
+            flat[pos] = sign * lead_sign
+        basis.add(tuple(tuple(flat[i : i + n]) for i in range(0, n * n, n)))
+    return basis
+
+
+def _reference_verdict(g1, g2):
+    d12 = len(_reference_orbits(g1, g2))
+    return d12 == len(_reference_orbits(g1, g1)) == len(_reference_orbits(g2, g2))
+
+
+def _candidate_pairs():
+    data = json.loads(CANDIDATES.read_text())["pairs"]
+
+    def graph(rows):
+        perms = (SignedPerm(tuple(abs(x) for x in r), tuple(1 if x > 0 else -1 for x in r))
+                 for r in rows)
+        return LoopSignedGraph(len(rows[0]), tuple(perms))
+
+    return [(graph(p["a"]), graph(p["b"])) for p in data]
+
+
+def test_orbit_labelling_matches_union_find_reference():
+    pairs = [catalog(name).graphs for name in ("gww", "square-triangle", "band15", "d4-group")]
+    census = census_details(4, 3, "mixed")[1] + census_details(7, 3, "neumann")[1]
+    pairs += census
+    # a graph of one census pair against one of the next: mostly negatives
+    pairs += [(p[0], q[1]) for p, q in zip(census, census[1:])
+              if p[0].vertices == q[1].vertices]
+    pairs += _candidate_pairs()[::10]
+    verdicts = 0
+    for a, b in pairs:
+        expected = _reference_verdict(a, b)
+        verdicts += expected
+        assert transplantable(a, b) == expected
+        assert decide(a, b).verdict == expected
+        basis = [tuple(tuple(int(x) for x in row) for row in m.entries)
+                 for m in intertwiner_space(a, b)]
+        assert len(basis) == len(set(basis))
+        assert set(basis) == _reference_basis(a, b)
+    assert 0 < verdicts < len(pairs)

@@ -17,6 +17,7 @@ throughout and no floating point appears anywhere in this module.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -353,27 +354,17 @@ class RatMatrix:
         return RatMatrix(tuple(out))
 
     def det(self) -> Fraction:
+        """Exact determinant: each row is scaled to integers by the lcm of its
+        denominators, and the integer determinant is divided by their product."""
         if not self.is_square():
             raise SizeMismatchError("determinant of a non-square matrix")
-        n = self.rows
-        m = [list(r) for r in self.entries]
-        det = Fraction(1)
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-            if pivot is None:
-                return Fraction(0)
-            if pivot != col:
-                m[col], m[pivot] = m[pivot], m[col]
-                det = -det
-            det *= m[col][col]
-            inv = 1 / m[col][col]
-            for r in range(col + 1, n):
-                if m[r][col] == 0:
-                    continue
-                factor = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] -= factor * m[col][c]
-        return det
+        rows: list[list[int]] = []
+        scale = 1
+        for r in self.entries:
+            d = math.lcm(*(x.denominator for x in r))
+            rows.append([x.numerator * (d // x.denominator) for x in r])
+            scale *= d
+        return Fraction(int_det(rows), scale)
 
     def is_invertible(self) -> bool:
         return self.is_square() and self.det() != 0

@@ -58,16 +58,9 @@ class InputError(Exception):
     pass
 
 
-def _read(path: str) -> str:
-    try:
-        return Path(path).read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-
-
 def _load_graph(path: str) -> LoopSignedGraph:
     try:
-        return parse_graph(_read(path))
+        return parse_graph(Path(path).read_text())
     except GraphFormatError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -171,7 +164,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 def _cmd_transform(args: argparse.Namespace) -> int:
     op = args.operation
     if op == "substitute":
-        plan_doc = json.loads(_read(args.plan))
+        plan_doc = json.loads(Path(args.plan).read_text())
         host = _load_graph(plan_doc["host"])
         substituent = _load_graph(plan_doc["substituent"])
         assignment = {
@@ -401,6 +394,7 @@ def main(argv: list[str] | None = None) -> int:
         ValueError,
         KeyError,
         json.JSONDecodeError,
+        OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

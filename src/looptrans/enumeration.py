@@ -56,11 +56,13 @@ from .graph import (
     DIRICHLET_BYTE,
     LoopSignedGraph,
     NEUMANN_BYTE,
-    # unused here; the traced benchmark run wraps enumeration.canonical_form
+    # unused here, like det_probe below; the traced benchmark run wraps
+    # enumeration.canonical_form and enumeration.det_probe
     canonical_form,  # noqa: F401
     is_connected,
+    is_treelike,
 )
-from .invariants import DEFAULT_MAX_WORD, det_probe
+from .invariants import DEFAULT_MAX_WORD, det_probe  # noqa: F401
 from .transform import NotNormalizable, braid
 from .transplant import transplantable
 
@@ -396,11 +398,8 @@ class PackedClasses:
 
     def graph(self, i: int) -> LoopSignedGraph:
         perms = tuple(
-            SignedPerm(
-                tuple(int(x) for x in self.targets[i, c]),
-                tuple(int(x) for x in self.signs[i, c]),
-            )
-            for c in range(self.colors)
+            SignedPerm(tuple(t), tuple(s))
+            for t, s in zip(self.targets[i].tolist(), self.signs[i].tolist())
         )
         return LoopSignedGraph(self.vertices, perms)
 
@@ -476,42 +475,29 @@ def enumerate_classes(
     return (packed.graph(i) for i in np.flatnonzero(mask))
 
 
-def _hash_buckets(packed: PackedClasses) -> list[list[int]]:
-    """Ascending class indices sharing a trace hash, for each hash shared by
-    two or more classes, in ascending hash order."""
+def candidate_pairs_packed(packed: PackedClasses) -> list[tuple[int, int]]:
+    """Index pairs of classes sharing a trace hash, the smaller index first:
+    hash by hash in ascending hash order, and lexicographically within one."""
     order = np.argsort(packed.trace_hash, kind="stable")
-    boundaries = np.nonzero(np.diff(packed.trace_hash[order]))[0] + 1
+    h = packed.trace_hash[order]
+    # where each run of equal hashes starts, then where the last one ends;
+    # only runs of two or more classes are read
+    starts = np.flatnonzero(np.r_[True, h[1:] != h[:-1], True])
     return [
-        [int(i) for i in group]
-        for group in np.split(order, boundaries)
-        if len(group) > 1
+        pair
+        for k in np.flatnonzero(np.diff(starts) > 1)
+        for pair in combinations(order[starts[k] : starts[k + 1]].tolist(), 2)
     ]
 
 
 def find_pairs_packed(packed: PackedClasses) -> list[tuple[int, int]]:
-    """Index pairs of distinct transplantable classes.
-
-    Candidates are bucketed by the word-trace hash, large buckets are split
-    further by the determinant probe, and every surviving candidate pair goes
-    through the exact decision.
-    """
-    pairs: list[tuple[int, int]] = []
-    for members in _hash_buckets(packed):
-        graphs = {i: packed.graph(i) for i in members}
-        buckets: dict[object, list[int]] = {}
-        if len(members) > 16:
-            for i in members:
-                buckets.setdefault(det_probe(graphs[i], seed=0), []).append(i)
-        else:
-            buckets[0] = members
-        for bucket in buckets.values():
-            for a_pos in range(len(bucket)):
-                for b_pos in range(a_pos + 1, len(bucket)):
-                    i, j = bucket[a_pos], bucket[b_pos]
-                    if transplantable(graphs[i], graphs[j]):
-                        pairs.append((min(i, j), max(i, j)))
-    pairs.sort()
-    return pairs
+    """Sorted index pairs of distinct transplantable classes: the candidate
+    pairs that the exact decision accepts."""
+    candidates = candidate_pairs_packed(packed)
+    graphs = {i: packed.graph(i) for pair in candidates for i in pair}
+    return sorted(
+        (i, j) for i, j in candidates if transplantable(graphs[i], graphs[j])
+    )
 
 
 def find_pairs(
@@ -529,11 +515,6 @@ def find_pairs(
         vertices, colors, tarr, sarr, _trace_hash(tarr, sarr, DEFAULT_MAX_WORD)
     )
     return [(graphs[i], graphs[j]) for i, j in find_pairs_packed(packed)]
-
-
-def candidate_pairs_packed(packed: PackedClasses) -> list[tuple[int, int]]:
-    """All index pairs sharing a trace-hash bucket (the decide workload)."""
-    return [pair for members in _hash_buckets(packed) for pair in combinations(members, 2)]
 
 
 class _UnionFind:
@@ -648,13 +629,10 @@ def _census_from_packed(
     idx_pairs = find_pairs_packed(packed)
     tree = packed.treelike()
     graph_pairs = [(packed.graph(i), packed.graph(j)) for i, j in idx_pairs]
-    tree_pairs = [
-        pair
-        for (i, j), pair in zip(idx_pairs, graph_pairs)
-        if tree[i] and tree[j]
-    ]
     classes = colour_classes(graph_pairs)
-    tree_classes = colour_classes(tree_pairs)
+    # colour permutation keeps a graph treelike, so each class holds only
+    # tree pairs or none, and its first pair tells which
+    tree_classes = [cls for cls in classes if all(map(is_treelike, cls[0]))]
     quilt_count = len(quilt_classes(graph_pairs)) if quilts else None
     row = CensusRow(
         vertices=packed.vertices,
@@ -663,7 +641,7 @@ def _census_from_packed(
         class_count=len(packed),
         treelike_count=int(tree.sum()),
         pair_count=len(graph_pairs),
-        treelike_pair_count=len(tree_pairs),
+        treelike_pair_count=sum(bool(tree[i] and tree[j]) for i, j in idx_pairs),
         class_pair_count=len(classes),
         treelike_class_pair_count=len(tree_classes),
         quilt_count=quilt_count,

@@ -2,10 +2,10 @@
 
 Word traces, seeded randomized probes over a prime field, and the spectral
 report of basic invariants.  Equality of any of these is necessary for
-transplantability and never treated as sufficient.  Only ``det_probe``
-buckets candidates before the exact decision: ``find_pairs_packed`` splits
-trace-hash buckets of more than 16 members by it.  ``kron_probe`` serves the
-CLI ``invariants`` report and :func:`fingerprint`.
+transplantability and never treated as sufficient.  None of them buckets
+census candidates: that is the packed trace hash in ``enumeration``.
+``kron_probe`` and ``det_probe`` serve the CLI ``invariants`` report and
+:func:`fingerprint`.
 """
 
 from __future__ import annotations

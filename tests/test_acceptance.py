@@ -96,15 +96,15 @@ def test_criterion_1_fixture_verification():
 
 def test_criterion_2_mixed_census(mixed_results):
     expected = {
-        2: (40, 30, 9, 6, 3),
-        3: (128, 96, 0, 0, 0),
-        4: (737, 472, 118, 64, 28),
-        5: (3848, 2304, 0, 0, 0),
-        6: (24360, 12792, 957, 294, 176),
-        7: (156480, 73216, 112, 112, 32),
+        2: (40, 30, 9, 6, 3, 2),
+        3: (128, 96, 0, 0, 0, 0),
+        4: (737, 472, 118, 64, 28, 18),
+        5: (3848, 2304, 0, 0, 0, 0),
+        6: (24360, 12792, 957, 294, 176, 56),
+        7: (156480, 73216, 112, 112, 32, 32),
     }
     bad = []
-    for v, (classes, trees, pairs, tree_pairs, colour_cls) in expected.items():
+    for v, want in expected.items():
         row = mixed_results[v][0]
         got = (
             row.class_count,
@@ -112,21 +112,22 @@ def test_criterion_2_mixed_census(mixed_results):
             row.pair_count,
             row.treelike_pair_count,
             row.class_pair_count,
+            row.treelike_class_pair_count,
         )
-        if got != (classes, trees, pairs, tree_pairs, colour_cls):
+        if got != want:
             bad.append((v, got))
     _report(2, f"mixed census V=2..7 exact {'' if not bad else bad}", not bad)
 
 
 def test_criterion_3_homogeneous_census(homogeneous_results):
     expected = {
-        (7, "dirichlet"): (1407, 143, 7, 3, 7),
-        (7, "neumann"): (1407, 143, 7, 3, 7),
-        (8, "dirichlet"): (6877, 450, 64, 16, 0),
-        (8, "neumann"): (6877, 450, 28, 8, 0),
+        (7, "dirichlet"): (1407, 143, 7, 3, 7, 3),
+        (7, "neumann"): (1407, 143, 7, 3, 7, 3),
+        (8, "dirichlet"): (6877, 450, 64, 16, 0, 0),
+        (8, "neumann"): (6877, 450, 28, 8, 0, 0),
     }
     bad = []
-    for key, (classes, trees, pairs, colour_cls, tree_pairs) in expected.items():
+    for key, want in expected.items():
         row = homogeneous_results[key][0]
         got = (
             row.class_count,
@@ -134,8 +135,9 @@ def test_criterion_3_homogeneous_census(homogeneous_results):
             row.pair_count,
             row.class_pair_count,
             row.treelike_pair_count,
+            row.treelike_class_pair_count,
         )
-        if got != (classes, trees, pairs, colour_cls, tree_pairs):
+        if got != want:
             bad.append((key, got))
     _report(3, f"homogeneous census V=7,8 exact {'' if not bad else bad}", not bad)
 

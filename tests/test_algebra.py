@@ -186,12 +186,52 @@ def test_rat_matrix_singular():
         m.inverse()
 
 
+def _fraction_det(rows):
+    """Reference: Gaussian elimination over Fraction, pivoting on the first
+    non-zero entry of each column."""
+    n = len(rows)
+    m = [[Fraction(x) for x in r] for r in rows]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = 1 / m[col][col]
+        for r in range(col + 1, n):
+            if m[r][col] == 0:
+                continue
+            factor = m[r][col] * inv
+            for c in range(col, n):
+                m[r][c] -= factor * m[col][c]
+    return det
+
+
 def test_int_det_matches_fraction_det():
     rng = random.Random(13)
     for _ in range(60):
         n = rng.randint(1, 5)
         rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-        assert int_det(rows) == RatMatrix.from_rows(rows).det()
+        assert int_det(rows) == RatMatrix.from_rows(rows).det() == _fraction_det(rows)
+    singular = 0
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        rows = [
+            [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(n)]
+            for _ in range(n)
+        ]
+        if rng.random() < 0.4:
+            # singular: the last row is a rational combination of the others
+            ks = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in rows[:-1]]
+            rows[-1] = [sum((k * r[j] for k, r in zip(ks, rows)), Fraction(0)) for j in range(n)]
+        expected = _fraction_det(rows)
+        singular += expected == 0
+        assert RatMatrix.from_rows(rows).det() == expected
+    assert singular >= 40
+    assert RatMatrix.from_rows([]).det() == 1
 
 
 def test_rat_matrix_kronecker_identity():

@@ -70,6 +70,24 @@ def test_missing_file_exit_code(tmp_path, capsys):
     assert main(["check", str(tmp_path / "nope.json"), str(tmp_path / "nope.json")]) == 2
 
 
+def test_unwritable_witness_exit_code(gww_files, tmp_path, capsys):
+    a, b = gww_files
+    target = tmp_path / "missing" / "w.json"
+    assert main(["check", str(a), str(b), "--witness", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not target.exists()
+
+
+def test_unwritable_enumerate_out_exit_code(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "graphs"
+    flags = ["--vertices", "2", "--colors", "1", "--loops", "mixed"]
+    assert main(["enumerate", *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_census_row_output(capsys):
     assert main(["census", "--vertices", "2", "--colors", "3"]) == 0
     out = capsys.readouterr().out

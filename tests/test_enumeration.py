@@ -35,6 +35,7 @@ from looptrans.enumeration import (
     enumerate_classes,
     enumerate_packed,
     find_pairs,
+    find_pairs_packed,
     quilt_classes,
 )
 from looptrans.invariants import DEFAULT_MAX_WORD, trace_profile, word_trace
@@ -534,6 +535,24 @@ def test_find_pairs_matches_all_pairs_decide():
                 brute.add(key)
     assert {tuple(sorted(k)) for k in found} == brute
     assert len(found) == 9
+
+
+@pytest.mark.parametrize("vertices, modulus, pair_count", [(2, 1, 9), (4, 32, 118)])
+def test_find_pairs_packed_with_collapsed_hash(vertices, modulus, pair_count):
+    # a coarser hash only adds candidates, so buckets far larger than any
+    # real one must give the same pairs
+    packed = enumerate_packed(vertices, 3, "mixed")
+    coarse = PackedClasses(
+        packed.vertices,
+        packed.colors,
+        packed.targets,
+        packed.signs,
+        packed.trace_hash % np.uint64(modulus),
+    )
+    assert np.unique(coarse.trace_hash, return_counts=True)[1].max() > 16
+    pairs = find_pairs_packed(packed)
+    assert len(pairs) == pair_count
+    assert find_pairs_packed(coarse) == pairs
 
 
 def test_census_small_rows():

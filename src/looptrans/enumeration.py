@@ -56,14 +56,14 @@ from .graph import (
     DIRICHLET_BYTE,
     LoopSignedGraph,
     NEUMANN_BYTE,
-    # unused here, like det_probe below; the traced benchmark run wraps
-    # enumeration.canonical_form and enumeration.det_probe
+    # unused here, like det_probe and braid below; the traced benchmark run
+    # wraps enumeration.canonical_form, enumeration.det_probe and
+    # enumeration.braid
     canonical_form,  # noqa: F401
-    is_connected,
     is_treelike,
 )
 from .invariants import DEFAULT_MAX_WORD, det_probe  # noqa: F401
-from .transform import NotNormalizable, braid
+from .transform import braid  # noqa: F401
 from .transplant import transplantable
 
 REGIMES = ("mixed", "dirichlet", "neumann", "signless")
@@ -551,12 +551,93 @@ def _pair_keys(tarr: np.ndarray, sarr: np.ndarray) -> list[bytes]:
     return [blob[k : k + width] for k in range(0, len(blob), width)]
 
 
+def _vertex_signs(t0: np.ndarray, sarr: np.ndarray) -> np.ndarray:
+    """Signs d with d = +1 at vertex 1 and d_t = d_i s_i along every edge
+    (i, t) of a BFS forest from vertex 1, as (N, V) int8; 0 at vertices that
+    vertex 1 does not reach.
+
+    ``t0`` holds 0-based targets and ``sarr`` signs, (N, C, V), each colour a
+    symmetric involution, so a vertex pulls its sign from its partner.  Each
+    round extends the forest by at least one edge layer, so V - 1 rounds
+    reach every vertex of a connected row.
+    """
+    n, c_count, v_count = t0.shape
+    d = np.zeros((n, v_count), np.int8)
+    d[:, 0] = 1
+    for _ in range(v_count - 1):
+        if d.all():
+            break
+        for c in range(c_count):
+            pulled = np.take_along_axis(d, t0[:, c], axis=1) * sarr[:, c]
+            np.copyto(d, pulled, where=d == 0)
+    return d
+
+
+def _braid_rows(
+    tarr: np.ndarray, sarr: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every braid of every pair of packed connected rows, in numpy.
+
+    Rows 2i and 2i + 1 are the two sides of pair i.  For each ordered colour
+    pair (c, conj), c != conj, colour c becomes b a b with a = colour c and
+    b = colour conj, and the row is conjugated by its diagonal sign
+    normalizer, as :func:`~looptrans.transform.braid` does.  Braiding keeps
+    the generated group (a = b (b a b) b), so a braided row is connected and
+    its normalizer is unique with d = +1 at vertex 1; it exists when every
+    off-diagonal entry of D p D is +1.  A braided pair is kept when both
+    sides normalize, that is when neither ``braid`` call would raise
+    :class:`~looptrans.transform.NotNormalizable`.
+
+    Returns the source pair of each kept braided pair and their rows, 1-based
+    targets and signs (2K, C, V) with sides adjacent: pair by pair, and
+    within a pair by (c, conj) ascending.
+    """
+    m, c_count, v_count = tarr.shape
+    moves = [(c, b) for c in range(c_count) for b in range(c_count) if c != b]
+    t0 = tarr.astype(np.intp) - 1
+    bt = np.repeat(t0[None], len(moves), axis=0)
+    bs = np.repeat(sarr[None], len(moves), axis=0)
+    for k, (c, b) in enumerate(moves):
+        # targets b[a[b[i]]], signs s_b[i] s_a[b[i]] s_b[a[b[i]]]
+        ab = np.take_along_axis(t0[:, c], t0[:, b], axis=1)
+        bt[k, :, c] = np.take_along_axis(t0[:, b], ab, axis=1)
+        bs[k, :, c] = (
+            sarr[:, b]
+            * np.take_along_axis(sarr[:, c], t0[:, b], axis=1)
+            * np.take_along_axis(sarr[:, b], ab, axis=1)
+        )
+    bt = bt.reshape(-1, c_count, v_count)
+    bs = bs.reshape(-1, c_count, v_count)
+    d = _vertex_signs(bt, bs)[:, None, :]
+    # D p D; a loop keeps its sign, and a vertex that vertex 1 does not
+    # reach has d = 0, which fails the test below
+    bs = bs * d * np.take_along_axis(np.broadcast_to(d, bt.shape), bt, axis=2)
+    idx = np.arange(v_count)
+    normal = ((bs == 1) | (bt == idx)).all(axis=(1, 2))
+    kept = normal.reshape(len(moves), m // 2, 2).all(axis=2)
+    source, move = np.nonzero(kept.T)
+    rows = ((move * m + 2 * source)[:, None] + [0, 1]).ravel()
+    bt, bs = bt[rows], bs[rows]
+    # the rest of what braid checks with graph.validate: every colour is a
+    # symmetric involution (+1 off the diagonal holds by the selection)
+    if not (
+        (np.take_along_axis(bt, bt, axis=2) == idx).all()
+        and (np.take_along_axis(bs, bt, axis=2) == bs).all()
+    ):
+        raise RuntimeError("a braided row is not a valid graph")
+    return source, bt + 1, bs
+
+
 def _quotient(
     pairs: Sequence[tuple[LoopSignedGraph, LoopSignedGraph]],
     with_braids: bool,
 ) -> list[list[tuple[LoopSignedGraph, LoopSignedGraph]]]:
     """Classes of the pairs under colour permutation (and braiding), each in
-    input order, ordered by their first member."""
+    input order, ordered by their first member.
+
+    The pairs are packed once; colour permutations and braids are then
+    computed on the packed rows, batch by batch, not graph by graph.
+    """
     if not pairs:
         return []
     # rows 2i and 2i + 1 of the packed arrays are the two sides of pair i
@@ -564,9 +645,9 @@ def _quotient(
     vertices, colors = graphs[0].vertices, graphs[0].colors
     if any(g.vertices != vertices or g.colors != colors for g in graphs):
         raise ValueError("quotient needs graphs of equal vertex and colour counts")
-    if not all(map(is_connected, graphs)):
-        raise ValueError("quotient needs connected graphs")
     tarr, sarr = _pack_graphs(graphs)
+    if not _vertex_signs(tarr.astype(np.intp) - 1, sarr).all():
+        raise ValueError("quotient needs connected graphs")
     uf = _UnionFind(len(pairs))
     # every colour permutation of every pair in one batch, pair sides
     # adjacent; the first pair to claim a key keeps it and later claimants
@@ -584,25 +665,12 @@ def _quotient(
         if j != i:
             uf.union(j, i)
     if with_braids:
-        sources: list[int] = []
-        braided: list[tuple[LoopSignedGraph, LoopSignedGraph]] = []
-        for i, (g1, g2) in enumerate(pairs):
-            for c in range(1, colors + 1):
-                for conj in range(1, colors + 1):
-                    if c == conj:
-                        continue
-                    try:
-                        braided.append((braid(g1, c, conj), braid(g2, c, conj)))
-                    except NotNormalizable:
-                        continue
-                    sources.append(i)
-        if braided:
-            packed = _pack_graphs([g for pair in braided for g in pair])
-            # a braid followed by any colour permutation finds its pair
-            for i, key in zip(sources, _pair_keys(*packed)):
-                j = index.get(key)
-                if j is not None:
-                    uf.union(i, j)
+        source, bt, bs = _braid_rows(tarr, sarr)
+        # a braid followed by any colour permutation finds its pair
+        for i, key in zip(source.tolist(), _pair_keys(bt, bs)):
+            j = index.get(key)
+            if j is not None:
+                uf.union(i, j)
     classes: dict[int, list[tuple[LoopSignedGraph, LoopSignedGraph]]] = {}
     for i, pair in enumerate(pairs):
         classes.setdefault(uf.find(i), []).append(pair)

@@ -20,6 +20,10 @@ from .graph import LoopSignedGraph, validate
 PRIME_MODULUS = (1 << 61) - 1
 DEFAULT_MAX_WORD = 6
 DEFAULT_KRON_DIM = 3
+# work caps: colors**max_len words for trace_profile, power * (V * dim)**3
+# multiplications for kron_probe; larger requests are refused up front
+MAX_PROFILE_WORDS = 2**20
+MAX_KRON_WORK = 2**27
 
 
 @dataclass(frozen=True)
@@ -64,6 +68,13 @@ def trace_profile(g: LoopSignedGraph, max_len: int = DEFAULT_MAX_WORD) -> dict[t
     """Traces of one representative per necklace class of words up to max_len."""
     if max_len < 0:
         raise ValueError("max_len must be non-negative")
+    # with two or more colours max_len > 20 is over the cap, and the power
+    # is only computed for max_len <= 20
+    if g.colors > 1 and (max_len > 20 or g.colors**max_len > MAX_PROFILE_WORDS):
+        raise ValueError(
+            f"max_len {max_len} walks {g.colors}^{max_len} words, "
+            f"more than {MAX_PROFILE_WORDS}"
+        )
     profile: dict[tuple[int, ...], int] = {(): g.vertices}
     identity = SignedPerm.identity(g.vertices)
 
@@ -110,6 +121,11 @@ def kron_probe(
         raise ValueError("power must be at least 1")
     p = PRIME_MODULUS
     n = g.vertices
+    if k_max * (n * dim) ** 3 > MAX_KRON_WORK:
+        raise ValueError(
+            f"power {k_max} at dimension {n * dim} needs more than "
+            f"{MAX_KRON_WORK} multiplications"
+        )
     z = _probe_matrices(g.colors, dim, seed)
     size = n * dim
     m = [[0] * size for _ in range(size)]

@@ -149,6 +149,19 @@ def test_invariants_output(gww_files, capsys):
     assert doc["loopless_edges"] is None
 
 
+@pytest.mark.parametrize(
+    "flag,value,word",
+    [("--max-word", "30", "max_len"), ("--kron-dim", "100000", "power"),
+     ("--kron-pow", "1000000000", "power")],
+)
+def test_invariants_refuse_unbounded_work(gww_files, flag, value, word, capsys):
+    # refused up front: 3^30 words, a 700,000^2 matrix, 10^9 matrix products
+    a, _ = gww_files
+    assert main(["invariants", str(a), flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and word in err
+
+
 def test_enumerate_count_only(capsys):
     assert main(["enumerate", "--vertices", "2", "--colors", "3", "--count-only"]) == 0
     assert capsys.readouterr().out.strip() == "40"

@@ -21,11 +21,13 @@ from looptrans.graph import (
 )
 from looptrans.enumeration import (
     PackedClasses,
+    _braid_rows,
     _bracelet_trie,
     _canonical_mask,
     _generate_leaves,
     _loop_signs,
     _merge_shards,
+    _pack_graphs,
     _trace_hash,
     canonical_codes,
     census,
@@ -648,11 +650,25 @@ def _shuffle_colours(pairs, rng):
 
 
 @pytest.mark.parametrize(
-    "vertices,regime", [(4, "mixed"), (7, "dirichlet"), (7, "neumann")]
+    "vertices,colours,regime,pair_count,quilt_count",
+    [
+        (4, 3, "mixed", 118, 17),
+        (7, 3, "mixed", 112, 8),
+        (7, 3, "dirichlet", 7, 1),
+        (7, 3, "neumann", 7, 1),
+        (8, 3, "dirichlet", 64, 9),
+        (8, 3, "neumann", 28, 3),
+        (4, 2, "mixed", 1, 1),
+        (6, 2, "mixed", 1, 1),
+        (2, 4, "mixed", 55, 7),
+    ],
+    # C=3 rows are named by vertices and regime alone
+    ids=["4-mixed", "7-mixed", "7-dirichlet", "7-neumann", "8-dirichlet",
+         "8-neumann", "4-mixed-c2", "6-mixed-c2", "2-mixed-c4"],
 )
-def test_quotients_match_scalar_oracle(vertices, regime):
-    _, pairs = census_details(vertices, 3, regime)
-    assert pairs
+def test_quotients_match_scalar_oracle(vertices, colours, regime, pair_count, quilt_count):
+    _, pairs = census_details(vertices, colours, regime)
+    assert len(pairs) == pair_count
     counts = []
     for inputs in (pairs, _shuffle_colours(pairs, random.Random(vertices))):
         colour = colour_classes(inputs)
@@ -662,6 +678,95 @@ def test_quotients_match_scalar_oracle(vertices, regime):
         assert _index_partition(inputs, quilt) == _scalar_quotient(inputs, True)
         counts.append((len(colour), len(quilt)))
     assert counts[0] == counts[1]
+    assert counts[0][1] == quilt_count
+
+
+def _scalar_braids(pairs):
+    """Reference oracle: the scalar braid loop the packed braid replaced.
+    Returns the source pair of each braided pair and its two graphs, pair by
+    pair and within a pair by (c, conj) ascending."""
+    sources, graphs = [], []
+    for i, (g1, g2) in enumerate(pairs):
+        colors = g1.colors
+        for c in range(1, colors + 1):
+            for conj in range(1, colors + 1):
+                if c == conj:
+                    continue
+                try:
+                    braided = (braid(g1, c, conj), braid(g2, c, conj))
+                except NotNormalizable:
+                    continue
+                sources.append(i)
+                graphs.extend(braided)
+    return sources, graphs
+
+
+def _check_braid_rows(pairs):
+    """Assert that the packed braid equals the scalar one row by row and drops
+    the same pairs; returns the number of (pair, c, conj) it dropped."""
+    tarr, sarr = _pack_graphs([g for pair in pairs for g in pair])
+    source, bt, bs = _braid_rows(tarr, sarr)
+    sources, graphs = _scalar_braids(pairs)
+    assert source.tolist() == sources
+    assert bt.shape == bs.shape == (2 * len(sources), *tarr.shape[1:])
+    assert bt.tolist() == [[list(p.targets) for p in g.adjacency] for g in graphs]
+    assert bs.tolist() == [[list(p.signs) for p in g.adjacency] for g in graphs]
+    colors = tarr.shape[1]
+    return len(pairs) * colors * (colors - 1) - len(sources)
+
+
+@pytest.mark.parametrize(
+    "vertices,regime,dropped", [(4, "mixed", 66), (7, "dirichlet", 0), (7, "neumann", 0)]
+)
+def test_braid_rows_match_scalar_braid_on_census_pairs(vertices, regime, dropped):
+    _, pairs = census_details(vertices, 3, regime)
+    assert _check_braid_rows(pairs) == dropped
+
+
+def _random_connected_graph(rng, vertices, colors):
+    while True:
+        g = random_graph(rng, vertices, colors)
+        if is_connected(g):
+            return g
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    vertices=st.integers(1, 7),
+    colors=st.integers(2, 4),
+    pair_count=st.integers(1, 3),
+)
+def test_braid_rows_match_scalar_braid_on_random_graphs(seed, vertices, colors, pair_count):
+    rng = random.Random(seed)
+    pairs = [
+        tuple(_random_connected_graph(rng, vertices, colors) for _ in range(2))
+        for _ in range(pair_count)
+    ]
+    _check_braid_rows(pairs)
+
+
+def test_braid_rows_drop_exactly_the_unnormalizable_pairs():
+    # random graphs with odd cycles: some braids have no sign normalizer
+    rng = random.Random(5)
+    for vertices in range(3, 8):
+        pairs = [
+            tuple(_random_connected_graph(rng, vertices, 3) for _ in range(2))
+            for _ in range(10)
+        ]
+        assert 0 < _check_braid_rows(pairs) < len(pairs) * 6
+
+
+def test_braid_rows_without_braids():
+    # one colour has no braid to take, and no rows give no braids
+    edge = LoopSignedGraph.build(2, [([(1, 2)], {})])
+    assert _check_braid_rows([(edge, edge), (edge, edge)]) == 0
+    for colors in (1, 3):
+        tarr = np.zeros((0, colors, 4), np.int16)
+        source, bt, bs = _braid_rows(tarr, tarr.astype(np.int8))
+        assert source.shape == (0,) and bt.shape == bs.shape == (0, colors, 4)
+    pairs = [(edge, edge)]
+    assert colour_classes(pairs) == quilt_classes(pairs) == [pairs]
 
 
 @pytest.mark.parametrize("vertices,colour_count,quilt_count", [(4, 28, 17), (6, 176, 78)])
@@ -687,6 +792,15 @@ def test_quotient_rejects_disconnected_and_mixed_size_pairs():
         for quotient in (colour_classes, quilt_classes):
             with pytest.raises(ValueError):
                 quotient(pairs)
+
+
+def test_quilt_classes_reject_an_invalid_braided_row():
+    # colour 1 is a 3-cycle, not an involution, so its braid by colour 2 is
+    # not a valid graph, as graph.validate would report it
+    cycle = SignedPerm((2, 3, 1), (1, 1, 1))
+    g = LoopSignedGraph(3, (cycle, SignedPerm.identity(3)))
+    with pytest.raises(RuntimeError):
+        quilt_classes([(g, g)])
 
 
 def test_census_details_returns_the_counted_pairs():

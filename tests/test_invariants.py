@@ -102,6 +102,19 @@ def test_kron_probe_single_vertex_differs():
     assert probe_d[0] == (-probe_n[0]) % PRIME_MODULUS
 
 
+def test_work_caps_are_checked_up_front(gww):
+    g = gww.graphs[0]
+    # 3^13 > 2^20 words; 14,493 * 21^3 > 2^27 multiplications (V=7, dim 3)
+    for max_len in (13, 30, 10**9):
+        with pytest.raises(ValueError, match="max_len"):
+            trace_profile(g, max_len)
+    for dim, power in ((3, 14_493), (100_000, None), (3, 10**9)):
+        with pytest.raises(ValueError, match="power"):
+            kron_probe(g, dim, power)
+    # one colour walks one word per length
+    assert len(trace_profile(_single_vertex("D"), 30)) == 31
+
+
 def test_det_probe(gww, square_triangle):
     g1, g2 = gww.graphs
     assert det_probe(g1, seed=3) == det_probe(g2, seed=3)

@@ -7,9 +7,9 @@ matrix with single non-zero entry ``signs[i-1]`` at position
 The group closure engine :func:`bfs_closure`, :func:`compose_codes` and
 :func:`inverse_code` work on the :meth:`SignedPerm.encode` form instead: the
 targets with the signs folded in, one plain tuple.
-:func:`diagonal_normalizer` solves for the diagonal sign matrix that clears
-negative off-diagonal entries; sign swaps, braids and the bipartite test of
-the loopless version all use it.
+:func:`signed_orbits` is the one orbit search, with a +-1 sign along each
+orbit: the sign normalizer :func:`diagonal_normalizer`, ``graph.components``,
+the intertwiner orbits and the conjugacy classes all read it.
 
 All arithmetic is exact; rational matrices use :class:`fractions.Fraction`
 throughout and no floating point appears anywhere in this module.
@@ -61,11 +61,6 @@ class SignedPerm:
     @staticmethod
     def identity(n: int) -> "SignedPerm":
         return SignedPerm(tuple(range(1, n + 1)), (1,) * n)
-
-    @staticmethod
-    def from_image(image: Sequence[tuple[int, int]]) -> "SignedPerm":
-        """Build from a sequence of ``(target, sign)`` pairs."""
-        return SignedPerm(tuple(t for t, _ in image), tuple(s for _, s in image))
 
     def image(self, i: int) -> tuple[int, int]:
         """Target and sign of vertex ``i`` (1-based)."""
@@ -243,35 +238,67 @@ def conjugate_by_diagonal(p: SignedPerm, signs: Sequence[int]) -> SignedPerm:
     return SignedPerm(p.targets, new_signs)
 
 
+def signed_orbits(
+    maps: Sequence[tuple[Sequence[int], Sequence[int]]], size: int
+) -> tuple[list[int], list[int], list[int]]:
+    """Orbits of the points 0 .. size-1 under signed maps, with relative signs.
+
+    Each map is a pair ``(image, rel)`` of lists over the points: it sends p
+    to ``image[p]``, whose sign must be p's sign times ``rel[p]``.  One stack
+    search per orbit labels each point with ``root``, the least point of its
+    orbit, and ``sign``, its sign relative to the root.  An orbit that reaches
+    a point with both signs is a clash; the others are ``live``, returned as
+    their roots in increasing order.
+    """
+    root = [-1] * size
+    sign = [0] * size
+    live = []
+    for start in range(size):
+        if root[start] >= 0:
+            continue
+        root[start] = start
+        sign[start] = 1
+        consistent = True
+        stack = [start]
+        while stack:
+            p = stack.pop()
+            for image, rel in maps:
+                q = image[p]
+                s = sign[p] * rel[p]
+                if root[q] < 0:
+                    root[q] = start
+                    sign[q] = s
+                    stack.append(q)
+                elif sign[q] != s:
+                    consistent = False
+        if consistent:
+            live.append(start)
+    return root, sign, live
+
+
 def diagonal_normalizer(perms: Sequence[SignedPerm]) -> tuple[int, ...] | None:
     """The +-1 diagonal D with no negative off-diagonal entry in any ``D p D``.
 
-    An entry s at (i, t) of p asks for d_i * d_t = s.  D is +1 at the smallest
-    point of each orbit of the group the perms generate, which makes it
-    unique; returns None when the constraints contradict each other.
+    An entry s at (i, t) of p asks for d_i * d_t = s; a loop asks nothing.
+    D is +1 at the smallest point of each orbit of the group the perms
+    generate, which makes it unique; returns None when the constraints
+    contradict each other.
     """
     n = perms[0].size if perms else 0
     if any(p.size != n for p in perms):
         raise SizeMismatchError("signed permutations act on different point counts")
-    signs = [0] * (n + 1)
-    for start in range(1, n + 1):
-        if signs[start]:
-            continue
-        signs[start] = 1
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for p in perms:
-                t = p.targets[v - 1]
-                if t == v:
-                    continue
-                want = signs[v] * p.signs[v - 1]
-                if not signs[t]:
-                    signs[t] = want
-                    queue.append(t)
-                elif signs[t] != want:
-                    return None
-    return tuple(signs[1:])
+    maps = []
+    for p in perms:
+        image, rel = [], list(p.signs)
+        for i, t in enumerate(p.targets):
+            image.append(t - 1)
+            if t == i + 1:
+                rel[i] = 1
+        maps.append((image, rel))
+    root, sign, live = signed_orbits(maps, n)
+    if len(live) < len(set(root)):
+        return None
+    return tuple(sign)
 
 
 def _as_fraction(x: Rational) -> Fraction:
@@ -342,9 +369,6 @@ class RatMatrix:
                 for row in self.entries
             )
         )
-
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix(tuple(zip(*self.entries)))
 
     def kronecker(self, other: "RatMatrix") -> "RatMatrix":
         out = []

@@ -21,7 +21,6 @@ from .formats import (
     dumps_witness,
     export_dot,
     parse_graph,
-    parse_witness,
 )
 from .graph import LoopSignedGraph, validate
 from .invariants import (

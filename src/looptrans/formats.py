@@ -70,13 +70,18 @@ def _parse_json(doc: object) -> LoopSignedGraph:
             raise GraphFormatError(f"adjacency entry: bad 'color' {c!r}")
         if c in specs:
             raise GraphFormatError(f"colour {c} listed twice")
+        edge_list, loop_map = entry.get("edges", []), entry.get("loops", {})
+        if not isinstance(edge_list, list):
+            raise GraphFormatError(f"colour {c}: 'edges' must be an array")
+        if not isinstance(loop_map, dict):
+            raise GraphFormatError(f"colour {c}: 'loops' must be an object")
         edges = []
-        for e in entry.get("edges", []):
+        for e in edge_list:
             if not (isinstance(e, list) and len(e) == 2 and all(isinstance(v, int) for v in e)):
                 raise GraphFormatError(f"colour {c}: edge {e!r} must be a pair of integers")
             edges.append((e[0], e[1]))
         loops = {}
-        for key, sign in entry.get("loops", {}).items():
+        for key, sign in loop_map.items():
             if not re.fullmatch(r"\d+", key):
                 raise GraphFormatError(f"colour {c}: loop key {key!r} must be a vertex number")
             if sign not in ("D", "N"):
@@ -190,12 +195,9 @@ def parse_witness(text: str) -> RatMatrix:
         for cix, x in enumerate(row):
             if isinstance(x, bool) or not isinstance(x, (int, str)):
                 raise GraphFormatError(f"entry ({r+1},{cix+1}): expected integer or 'p/q'")
-            if isinstance(x, str):
-                if not re.fullmatch(r"-?\d+/\d+", x):
-                    raise GraphFormatError(f"entry ({r+1},{cix+1}): bad rational {x!r}")
-                out.append(Fraction(x))
-            else:
-                out.append(Fraction(x))
+            if isinstance(x, str) and not re.fullmatch(r"-?\d+/0*[1-9]\d*", x):
+                raise GraphFormatError(f"entry ({r+1},{cix+1}): bad rational {x!r}")
+            out.append(Fraction(x))
         rows.append(out)
     if any(len(r) != len(rows[0]) for r in rows):
         raise GraphFormatError("witness rows have unequal lengths")

@@ -5,16 +5,16 @@ signed involution per colour.  Off-diagonal entries (edges) are +1; diagonal
 entries are -1 for a Dirichlet loop and +1 for a Neumann loop.  Every vertex
 has exactly one incidence per colour, so the object is a constellation: BFS
 from a fixed start vertex visits vertices in a unique order, which is what
-makes canonical labelling automorphism-free.
+makes canonical labelling automorphism-free.  Components are the orbits of
+``algebra.signed_orbits`` under the colours' vertex maps.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import SignedPerm, diagonal_normalizer
+from .algebra import SignedPerm, diagonal_normalizer, signed_orbits
 
 # Byte values used in canonical codes.  Edge targets serialize as their
 # discovery number (1..V), so edges always compare below loops and a Neumann
@@ -64,6 +64,8 @@ class LoopSignedGraph:
                     raise ValueError(f"bad loop vertex {v}")
                 if targets[v - 1]:
                     raise ValueError(f"vertex {v} incident twice")
+                if sign not in ("D", "N"):
+                    raise ValueError(f"loop sign {sign!r} at vertex {v} must be 'D' or 'N'")
                 targets[v - 1] = v
                 signs[v - 1] = DIRICHLET if sign == "D" else NEUMANN
             missing = [v + 1 for v in range(vertices) if not targets[v]]
@@ -128,24 +130,13 @@ def permute(g: LoopSignedGraph, relabel: Sequence[int]) -> LoopSignedGraph:
 
 def components(g: LoopSignedGraph) -> tuple[tuple[int, ...], ...]:
     """Connected components of the loopless version, ordered by smallest vertex."""
-    seen = [False] * (g.vertices + 1)
-    out = []
-    for s in range(1, g.vertices + 1):
-        if seen[s]:
-            continue
-        comp = []
-        queue = deque([s])
-        seen[s] = True
-        while queue:
-            v = queue.popleft()
-            comp.append(v)
-            for p in g.adjacency:
-                t = p.targets[v - 1]
-                if t != v and not seen[t]:
-                    seen[t] = True
-                    queue.append(t)
-        out.append(tuple(sorted(comp)))
-    return tuple(out)
+    plus = [1] * g.vertices
+    maps = [([t - 1 for t in p.targets], plus) for p in g.adjacency]
+    root, _, _ = signed_orbits(maps, g.vertices)
+    comps: dict[int, list[int]] = {}
+    for v, r in enumerate(root, start=1):
+        comps.setdefault(r, []).append(v)
+    return tuple(map(tuple, comps.values()))
 
 
 def is_connected(g: LoopSignedGraph) -> bool:

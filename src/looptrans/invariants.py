@@ -20,22 +20,21 @@ from .graph import LoopSignedGraph, validate
 PRIME_MODULUS = (1 << 61) - 1
 DEFAULT_MAX_WORD = 6
 DEFAULT_KRON_DIM = 3
-# work caps: colors**max_len words for trace_profile, power * (V * dim)**3
+# work caps: colors**max_len words for trace_profile (one colour walks one
+# word per length, but its necklaces cost max_len**3 steps), power * (V * dim)**3
 # multiplications for kron_probe; larger requests are refused up front
 MAX_PROFILE_WORDS = 2**20
+MAX_SINGLE_COLOUR_WORD = 1000
 MAX_KRON_WORK = 2**27
 
 
 @dataclass(frozen=True)
 class Fingerprint:
-    """Necessary-condition invariant vector used to bucket candidate pairs."""
+    """Necessary-condition invariant vector: equal on transplantable graphs."""
 
     word_traces: tuple[tuple[tuple[int, ...], int], ...]
     probe: tuple[int, ...]
     det_probe: int
-
-    def trace_map(self) -> dict[tuple[int, ...], int]:
-        return dict(self.word_traces)
 
 
 @dataclass(frozen=True)
@@ -75,21 +74,21 @@ def trace_profile(g: LoopSignedGraph, max_len: int = DEFAULT_MAX_WORD) -> dict[t
             f"max_len {max_len} walks {g.colors}^{max_len} words, "
             f"more than {MAX_PROFILE_WORDS}"
         )
-    profile: dict[tuple[int, ...], int] = {(): g.vertices}
-    identity = SignedPerm.identity(g.vertices)
-
-    def extend(word: tuple[int, ...], acc: SignedPerm) -> None:
-        if len(word) == max_len:
-            return
-        for c in range(1, g.colors + 1):
-            nword = word + (c,)
-            nacc = compose(g.color(c), acc)
-            key = necklace_canonical(nword)
-            if key not in profile:
-                profile[key] = trace(nacc)
-            extend(nword, nacc)
-
-    extend((), identity)
+    if g.colors == 1 and max_len > MAX_SINGLE_COLOUR_WORD:
+        raise ValueError(f"max_len {max_len} on one colour is more than {MAX_SINGLE_COLOUR_WORD}")
+    profile: dict[tuple[int, ...], int] = {}
+    # depth first, colours ascending; children are pushed in reverse so that
+    # colour 1 is walked first
+    stack = [((), SignedPerm.identity(g.vertices))]
+    while stack:
+        word, acc = stack.pop()
+        key = necklace_canonical(word)
+        if key not in profile:
+            profile[key] = trace(acc)
+        if len(word) < max_len:
+            stack.extend(
+                (word + (c,), compose(g.color(c), acc)) for c in range(g.colors, 0, -1)
+            )
     return profile
 
 

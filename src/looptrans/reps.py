@@ -10,7 +10,8 @@ equality of the summed induced characters.
 Both the Schreier graph and the induced character read one coset table: the
 right cosets Hg in BFS order under right multiplication by generators.  The
 induced character at x sums R(g_i x g_i^-1) over the cosets H g_i that x
-fixes, |G:H| products per class.  Conjugacy classes are cached on the
+fixes, |G:H| products per class.  Conjugacy classes are the orbits of
+``algebra.signed_orbits`` under conjugation by the generators, cached on the
 closure, and a pair's validity check is remembered per group.
 """
 
@@ -26,6 +27,7 @@ from .algebra import (
     bfs_closure,
     compose_codes,
     inverse_code,
+    signed_orbits,
     word_product,
 )
 from .graph import LoopSignedGraph, components, validate
@@ -69,33 +71,27 @@ class GroupClosure:
         return self._lookup(inverse_code(self._codes[i]))  # type: ignore[attr-defined]
 
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
-        """Classes by orbit closure under conjugation by the generators.
+        """Classes as the orbits of conjugation by the generators.
 
-        Computed on the first call and cached on the closure.
+        :func:`~looptrans.algebra.signed_orbits` searches them, with one
+        conjugation image list per generator.  Computed on the first call and
+        cached on the closure.
         """
         cached = self.__dict__.get("_classes")
         if cached is not None:
             return cached
         codes = self._codes  # type: ignore[attr-defined]
-        gens = [(c, inverse_code(c)) for c in (g.encode() for g in self.generators)]
-        seen = [False] * self.order
-        classes = []
-        for start in range(self.order):
-            if seen[start]:
-                continue
-            orbit = [start]
-            seen[start] = True
-            head = 0
-            while head < len(orbit):
-                x = orbit[head]
-                head += 1
-                for gen, gen_inv in gens:
-                    y = self._lookup(compose_codes(compose_codes(gen, codes[x]), gen_inv))
-                    if not seen[y]:
-                        seen[y] = True
-                        orbit.append(y)
-            classes.append(tuple(sorted(orbit)))
-        result = tuple(classes)
+        plus = [1] * self.order
+        maps = []
+        for gen in (g.encode() for g in self.generators):
+            gen_inv = inverse_code(gen)
+            image = [self._lookup(compose_codes(compose_codes(gen, x), gen_inv)) for x in codes]
+            maps.append((image, plus))
+        root, _, _ = signed_orbits(maps, self.order)
+        classes: dict[int, list[int]] = {}
+        for x, r in enumerate(root):
+            classes.setdefault(r, []).append(x)
+        result = tuple(map(tuple, classes.values()))
         object.__setattr__(self, "_classes", result)
         return result
 

@@ -5,14 +5,15 @@ invertible matrix T with B^c T = T A^c for every colour exists.  Two exact
 routes are implemented:
 
 * the orbit route propagates the constraint B^c T = T A^c over the entries of
-  T: one BFS labels every entry with the least entry of its signed orbit and
-  a sign relative to it, and each orbit without a sign clash contributes one
-  basis matrix with entries 0, +-1.  Whether the span contains an
-  invertible element is settled exactly by a multiplicity argument: writing
-  m, n for the multiplicity vectors of the two adjacency representations over
-  the group they generate jointly, the orbit counts give dim Hom(1,2) = m.n,
-  dim Hom(1,1) = |m|^2, dim Hom(2,2) = |n|^2, and |m - n|^2 = 0 holds exactly
-  when all three are equal.
+  T: ``algebra.signed_orbits`` labels every entry with the least entry of its
+  signed orbit and a sign relative to it, and each orbit without a sign clash
+  contributes one basis matrix with entries 0, +-1 (``_combination`` builds
+  the basis and the witnesses from coefficients on the orbits).  Whether the
+  span contains an invertible element is settled exactly by a multiplicity
+  argument: writing m, n for the multiplicity vectors of the two adjacency
+  representations over the group they generate jointly, the orbit counts give
+  dim Hom(1,2) = m.n, dim Hom(1,1) = |m|^2, dim Hom(2,2) = |n|^2, and
+  |m - n|^2 = 0 holds exactly when all three are equal.
 
 * the group route closes the generator pairs (A^c, B^c) and checks that the
   pairing is a bijection with equal traces throughout, which is the
@@ -35,6 +36,7 @@ from .algebra import (
     SignedPerm,
     bfs_closure,
     int_det,
+    signed_orbits,
 )
 from .graph import LoopSignedGraph, validate
 
@@ -166,11 +168,11 @@ def _orbit_labels(g1: LoopSignedGraph, g2: LoopSignedGraph) -> _Labels:
     Position p = i*n + j indexes T_{ij} with i a vertex of g2 and j of g1; the
     colour-c constraint links (i, j) to (i', j') where i' and j' are the
     c-neighbours, with relative sign equal to the product of the two incidence
-    signs.  One BFS per orbit labels each position with ``root``, the least
-    position of its orbit, and ``sign``, its sign relative to the root.  An
-    orbit that reaches a position with both signs (a Dirichlet/Neumann clash at
-    a loop, say) pins its entries to zero; the others are ``live``, returned
-    as their roots in increasing order.
+    signs.  :func:`~looptrans.algebra.signed_orbits` labels each position
+    with ``root``, the least position of its orbit, and ``sign``, its sign
+    relative to the root.  An orbit that reaches a position with both signs (a
+    Dirichlet/Neumann clash at a loop, say) pins its entries to zero; the
+    others are ``live``, returned as their roots in increasing order.
     """
     n = g1.vertices
     maps = []
@@ -181,30 +183,19 @@ def _orbit_labels(g1: LoopSignedGraph, g2: LoopSignedGraph) -> _Labels:
             [r + t for r in rows for t in t1],
             [x * y for x in b.signs for y in a.signs],
         ))
-    root = [-1] * (n * n)
-    sign = [0] * (n * n)
-    live = []
-    for start in range(n * n):
-        if root[start] >= 0:
-            continue
-        root[start] = start
-        sign[start] = 1
-        consistent = True
-        stack = [start]
-        while stack:
-            p = stack.pop()
-            for image, rel in maps:
-                q = image[p]
-                s = sign[p] * rel[p]
-                if root[q] < 0:
-                    root[q] = start
-                    sign[q] = s
-                    stack.append(q)
-                elif sign[q] != s:
-                    consistent = False
-        if consistent:
-            live.append(start)
-    return root, sign, live
+    return signed_orbits(maps, n * n)
+
+
+def _combination(labels: _Labels, n: int, coeffs: Sequence[int]) -> list[list[int]]:
+    """Rows of the n x n matrix with coefficient k on the k-th live orbit.
+
+    ``labels`` is an ``_orbit_labels`` result; the orbits have disjoint
+    supports, so each entry is its orbit's coefficient times its sign.
+    """
+    root, sign, live = labels
+    weight = dict(zip(live, coeffs))
+    flat = [weight.get(r, 0) * s for r, s in zip(root, sign)]
+    return [flat[i : i + n] for i in range(0, n * n, n)]
 
 
 def intertwiner_space(g1: LoopSignedGraph, g2: LoopSignedGraph) -> list[RatMatrix]:
@@ -217,13 +208,11 @@ def intertwiner_space(g1: LoopSignedGraph, g2: LoopSignedGraph) -> list[RatMatri
     if g1.vertices != g2.vertices:
         return []
     n = g1.vertices
-    root, sign, live = _orbit_labels(g1, g2)
-    flats = {r: [0] * (n * n) for r in live}
-    for p, r in enumerate(root):
-        if r in flats:
-            flats[r][p] = sign[p]
+    labels = _orbit_labels(g1, g2)
+    k = len(labels[2])
     return [
-        RatMatrix.from_rows([f[i : i + n] for i in range(0, n * n, n)]) for f in flats.values()
+        RatMatrix.from_rows(_combination(labels, n, [int(j == i) for j in range(k)]))
+        for i in range(k)
     ]
 
 
@@ -248,17 +237,12 @@ def _invertible_combination(labels: _Labels, n: int, seed: int | None) -> RatMat
     ``labels`` is an ``_orbit_labels`` result; coefficient k scales the k-th
     live orbit, and the orbits have disjoint supports.
     """
-    root, sign, live = labels
+    live = labels[2]
     if not live:
         return None
-    slot = {r: k for k, r in enumerate(live)}
-    members = [(p, slot[r], sign[p]) for p, r in enumerate(root) if r in slot]
 
     def try_coeffs(coeffs: Sequence[int]) -> RatMatrix | None:
-        flat = [0] * (n * n)
-        for p, k, s in members:
-            flat[p] = coeffs[k] * s
-        rows = [flat[i : i + n] for i in range(0, n * n, n)]
+        rows = _combination(labels, n, coeffs)
         if int_det(rows) != 0:
             return RatMatrix.from_rows(rows)
         return None

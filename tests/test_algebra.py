@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from looptrans.algebra import (
     RatMatrix,
@@ -13,6 +14,7 @@ from looptrans.algebra import (
     inverse,
     kronecker,
     shuffle_perm,
+    signed_orbits,
     trace,
 )
 
@@ -240,3 +242,64 @@ def test_rat_matrix_kronecker_identity():
         [[-1, 1, 0, 0], [1, 1, 0, 0], [0, 0, -1, 1], [0, 0, 1, 1]]
     )
     assert RatMatrix.identity(2).kronecker(tee) == expected
+
+
+def _signed_closure(maps, start):
+    """Reference oracle: the signed points reached from (start, +1), grown to
+    a fixed point one application of every map at a time."""
+    reached = {(start, 1)}
+    while True:
+        grown = reached | {
+            (image[p], s * rel[p]) for p, s in reached for image, rel in maps
+        }
+        if grown == reached:
+            return reached
+        reached = grown
+
+
+_signed_maps = st.integers(1, 8).flatmap(
+    lambda size: st.tuples(
+        st.just(size),
+        st.lists(
+            st.tuples(
+                st.permutations(range(size)),
+                st.lists(st.sampled_from((1, -1)), min_size=size, max_size=size),
+            ),
+            max_size=4,
+        ),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_signed_maps)
+def test_signed_orbits_match_closure_oracle(case):
+    # random signed permutations: clashes, -1 fixed points and sign-consistent
+    # orbits all occur
+    size, maps = case
+    root, sign, live = signed_orbits(maps, size)
+    expected_live = []
+    for p in range(size):
+        reached = _signed_closure(maps, p)
+        points = {q for q, _ in reached}
+        assert root[p] == min(points)
+        if p == root[p] and len(reached) == len(points):
+            expected_live.append(p)
+    assert live == expected_live
+    for p in range(size):
+        if root[p] in live:
+            assert (p, sign[p]) in _signed_closure(maps, root[p])
+        else:
+            assert sign[p] in (1, -1)
+
+
+def test_signed_orbits_clash_at_negative_fixed_point():
+    swap = ([1, 0, 2], [1, 1, 1])
+    loop = ([0, 1, 2], [-1, 1, -1])
+    # the -1 fixed point at 0 asks sign[0] = -sign[0], which kills the orbit
+    # {0, 1}; the one at 2 kills {2}
+    assert signed_orbits([swap, loop], 3) == ([0, 0, 2], [1, 1, 1], [])
+    assert signed_orbits([swap], 3) == ([0, 0, 2], [1, 1, 1], [0, 2])
+    flip = ([1, 0, 2], [-1, -1, 1])
+    assert signed_orbits([flip], 3) == ([0, 0, 2], [1, -1, 1], [0, 2])
+    assert signed_orbits([], 2) == ([0, 1], [1, 1], [0, 1])

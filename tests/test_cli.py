@@ -66,6 +66,16 @@ def test_malformed_input_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field,value", [("loops", []), ("edges", 5)])
+def test_mistyped_colour_field_exit_code(field, value, tmp_path, capsys):
+    entry = {"color": 1, "edges": [[1, 2]], "loops": {}}
+    entry[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"version": 1, "vertices": 2, "colors": 1, "adjacency": [entry]}))
+    assert main(["check", str(bad), str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_missing_file_exit_code(tmp_path, capsys):
     assert main(["check", str(tmp_path / "nope.json"), str(tmp_path / "nope.json")]) == 2
 
@@ -160,6 +170,14 @@ def test_invariants_refuse_unbounded_work(gww_files, flag, value, word, capsys):
     assert main(["invariants", str(a), flag, value]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and word in err
+
+
+def test_invariants_refuse_long_one_colour_word(tmp_path, capsys):
+    one = tmp_path / "one.json"
+    one.write_text(dumps_json(parse_graph("c1: (1,2) loops: 3D\n")))
+    assert main(["invariants", str(one), "--max-word", "5000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "max_len" in err
 
 
 def test_enumerate_count_only(capsys):

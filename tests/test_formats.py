@@ -66,6 +66,13 @@ def test_parse_rejects_malformed():
         parse_graph(json.dumps(doc))
     with pytest.raises(GraphFormatError):
         parse_graph("c1: (1,2) junk\n")
+    # mistyped colour fields
+    for field, value in (("loops", []), ("loops", None), ("edges", 5), ("edges", {"1": 2})):
+        entry = {"color": 1, "edges": [[1, 2]], "loops": {}}
+        entry[field] = value
+        doc["adjacency"] = [entry]
+        with pytest.raises(GraphFormatError, match=field):
+            parse_graph(json.dumps(doc))
 
 
 def test_witness_roundtrip(gww):
@@ -83,6 +90,10 @@ def test_witness_rejects_malformed():
         parse_witness("[[1, 2], [3]]")
     with pytest.raises(GraphFormatError):
         parse_witness('[["1/0x"]]')
+    for zero in ("1/0", "-3/00"):
+        with pytest.raises(GraphFormatError, match="bad rational"):
+            parse_witness(f'[["{zero}"]]')
+    assert parse_witness('[["3/010"]]') == RatMatrix.from_rows([[Fraction(3, 10)]])
 
 
 def test_export_dot_counts(gww):

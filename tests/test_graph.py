@@ -2,6 +2,7 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from looptrans.algebra import SignedPerm, compose
 from looptrans.graph import (
@@ -64,6 +65,42 @@ def test_components(gww):
     assert components(loops) == ((1,), (2,), (3,), (4,))
     both = disjoint_union([g, gww.graphs[1]])
     assert len(components(both)) == 2
+
+
+def _reachability_components(g):
+    """Reference oracle: reach sets grown to a fixed point over the edges."""
+    reach = {v: {v} for v in range(1, g.vertices + 1)}
+    changed = True
+    while changed:
+        changed = False
+        for v, seen in reach.items():
+            grown = seen | {p.targets[u - 1] for u in seen for p in g.adjacency}
+            if grown != seen:
+                reach[v], changed = grown, True
+    return tuple(sorted({tuple(sorted(r)) for r in reach.values()}))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+    colors=st.integers(1, 4),
+)
+def test_components_match_reachability(seed, sizes, colors):
+    # disjoint unions, shuffled, so that components interleave in numbering
+    rng = random.Random(seed)
+    g = disjoint_union([random_graph(rng, v, colors) for v in sizes])
+    relabel = list(range(1, g.vertices + 1))
+    rng.shuffle(relabel)
+    g = permute(g, relabel)
+    assert components(g) == _reachability_components(g)
+    assert is_connected(g) == (len(_reachability_components(g)) == 1)
+
+
+def test_build_rejects_unknown_loop_sign():
+    for sign in ("X", "d", -1, None):
+        with pytest.raises(ValueError, match="loop sign"):
+            LoopSignedGraph.build(2, [([], {1: "D", 2: sign})])
 
 
 def test_loopless_counts(gww, band15):

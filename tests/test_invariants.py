@@ -1,9 +1,11 @@
+import inspect
 import random
+import sys
 from itertools import product
 
 import pytest
 
-from looptrans.algebra import RatMatrix
+from looptrans.algebra import RatMatrix, SignedPerm, compose, trace
 from looptrans.graph import LoopSignedGraph
 from looptrans.invariants import (
     PRIME_MODULUS,
@@ -111,8 +113,50 @@ def test_work_caps_are_checked_up_front(gww):
     for dim, power in ((3, 14_493), (100_000, None), (3, 10**9)):
         with pytest.raises(ValueError, match="power"):
             kron_probe(g, dim, power)
-    # one colour walks one word per length
+    # one colour walks one word per length, up to 1,000 letters
     assert len(trace_profile(_single_vertex("D"), 30)) == 31
+    for max_len in (1001, 5000, 10**9):
+        with pytest.raises(ValueError, match="max_len"):
+            trace_profile(_single_vertex("D"), max_len)
+
+
+def _recursive_profile(g, max_len):
+    """Reference: the depth-first walk as one recursive call per letter."""
+    profile = {(): g.vertices}
+
+    def extend(word, acc):
+        if len(word) == max_len:
+            return
+        for c in range(1, g.colors + 1):
+            nword, nacc = word + (c,), compose(g.color(c), acc)
+            profile.setdefault(necklace_canonical(nword), trace(nacc))
+            extend(nword, nacc)
+
+    extend((), SignedPerm.identity(g.vertices))
+    return profile
+
+
+def test_trace_profile_walks_words_in_recursive_order():
+    rng = random.Random(11)
+    for colors, max_len in ((1, 9), (2, 7), (3, 5)):
+        for _ in range(4):
+            g = random_graph(rng, rng.randint(1, 6), colors)
+            assert list(trace_profile(g, max_len).items()) == list(
+                _recursive_profile(g, max_len).items()
+            )
+
+
+def test_one_colour_profile_is_iterative():
+    g = LoopSignedGraph.build(3, [([(1, 2)], {3: "D"})])
+    limit = sys.getrecursionlimit()
+    # a walk with one frame per letter would need 300 frames beyond this one
+    sys.setrecursionlimit(len(inspect.stack()) + 60)
+    try:
+        profile = trace_profile(g, 300)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(profile) == 301
+    assert profile[(1,) * 299] == -1 and profile[(1,) * 300] == 3
 
 
 def test_det_probe(gww, square_triangle):

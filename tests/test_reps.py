@@ -8,7 +8,9 @@ from looptrans.algebra import (
     ClosureCapExceeded,
     SignedPerm,
     compose,
+    compose_codes,
     inverse,
+    inverse_code,
     word_product,
 )
 from looptrans.enumeration import candidate_pairs_packed, census_details, enumerate_packed
@@ -124,6 +126,39 @@ def test_conjugacy_classes_against_brute_force(d4):
             orbit.add(k)
         brute.add(frozenset(orbit))
     assert classes == brute
+
+
+def _brute_classes(group):
+    """Reference oracle: the class of x is g x g^-1 over every element g."""
+    codes = [e.encode() for e in group.elements]
+    index = {c: i for i, c in enumerate(codes)}
+    conj = [(c, inverse_code(c)) for c in codes]
+    class_of = {}
+    for i, x in enumerate(codes):
+        if i not in class_of:
+            cls = frozenset(index[compose_codes(compose_codes(g, x), gi)] for g, gi in conj)
+            class_of.update(dict.fromkeys(cls, cls))
+    return set(class_of.values())
+
+
+def test_conjugacy_classes_of_catalog_and_union_groups():
+    from looptrans.catalog import CATALOG_NAMES, catalog
+
+    groups = [closure(list(catalog("d4-group").group_data.generators))]
+    groups += [closure(list(catalog(name).graphs[0].adjacency)) for name in CATALOG_NAMES]
+    # the C=3 V=4 mixed census pairs, each pair's union generating one group
+    groups += [
+        closure(list(disjoint_union(pair).adjacency))
+        for pair in census_details(4, 3, "mixed")[1]
+    ]
+    assert len(groups) == 1 + len(CATALOG_NAMES) + 118
+    for group in groups:
+        classes = group.conjugacy_classes()
+        # every element once, each class increasing, classes by least element
+        assert sorted(x for cls in classes for x in cls) == list(range(group.order))
+        assert all(list(cls) == sorted(cls) for cls in classes)
+        assert [cls[0] for cls in classes] == sorted(cls[0] for cls in classes)
+        assert {frozenset(cls) for cls in classes} == _brute_classes(group)
 
 
 def test_cayley_graph_d4_is_eight_cycle(d4):

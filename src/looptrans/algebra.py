@@ -11,8 +11,10 @@ targets with the signs folded in, one plain tuple.
 orbit: the sign normalizer :func:`diagonal_normalizer`, ``graph.components``,
 the intertwiner orbits and the conjugacy classes all read it.
 
-All arithmetic is exact; rational matrices use :class:`fractions.Fraction`
-throughout and no floating point appears anywhere in this module.
+All arithmetic is exact and no floating point appears anywhere in this
+module.  ``graph.validate`` checks signed permutations, once, at the boundary;
+what is built here from valid ones is valid by construction and unchecked.
+A :class:`RatMatrix` holds an integral entry as an ``int``, others as ``Fraction``.
 """
 
 from __future__ import annotations
@@ -40,19 +42,10 @@ class ClosureCapExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class SignedPerm:
-    """A signed permutation on ``size`` points (1-based)."""
+    """A signed permutation on ``size`` points (1-based), unchecked."""
 
     targets: tuple[int, ...]
     signs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.targets)
-        if len(self.signs) != n:
-            raise ValueError("targets and signs must have equal length")
-        if sorted(self.targets) != list(range(1, n + 1)):
-            raise ValueError(f"targets {self.targets} are not a permutation of 1..{n}")
-        if any(s not in (1, -1) for s in self.signs):
-            raise ValueError("signs must be +1 or -1")
 
     @property
     def size(self) -> int:
@@ -97,13 +90,6 @@ class SignedPerm:
 
     def is_involution(self) -> bool:
         return compose(self, self).is_identity()
-
-    def is_symmetric(self) -> bool:
-        """True iff the matrix form is symmetric."""
-        for i, (t, s) in enumerate(zip(self.targets, self.signs), start=1):
-            if self.targets[t - 1] != i or self.signs[t - 1] != s:
-                return False
-        return True
 
     def to_matrix(self) -> "RatMatrix":
         n = self.size
@@ -301,15 +287,23 @@ def diagonal_normalizer(perms: Sequence[SignedPerm]) -> tuple[int, ...] | None:
     return tuple(sign)
 
 
-def _as_fraction(x: Rational) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _exact(x: Rational) -> Rational:
+    """An integral entry as an ``int``, any other as an exact ``Fraction``."""
+    if type(x) is int:
+        return x
+    f = Fraction(x)
+    return f.numerator if f.denominator == 1 else f
 
 
 @dataclass(frozen=True)
 class RatMatrix:
-    """Dense matrix with exact rational entries."""
+    """Dense matrix with exact rational entries, ``int`` where integral.
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    Integer matrices such as the witnesses stay in ``int`` arithmetic; only
+    :meth:`inverse` divides, through ``Fraction``.
+    """
+
+    entries: tuple[tuple[Rational, ...], ...]
 
     @property
     def rows(self) -> int:
@@ -323,7 +317,7 @@ class RatMatrix:
     def from_rows(rows: Sequence[Sequence[Rational]]) -> "RatMatrix":
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged rows")
-        return RatMatrix(tuple(tuple(_as_fraction(x) for x in r) for r in rows))
+        return RatMatrix(tuple(tuple(map(_exact, r)) for r in rows))
 
     @staticmethod
     def identity(n: int) -> "RatMatrix":
@@ -338,26 +332,15 @@ class RatMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def __getitem__(self, ij: tuple[int, int]) -> Fraction:
+    def __getitem__(self, ij: tuple[int, int]) -> Rational:
         i, j = ij
         return self.entries[i][j]
-
-    def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise SizeMismatchError("shape mismatch in addition")
-        return RatMatrix(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            )
-        )
 
     def __neg__(self) -> "RatMatrix":
         return self.scale(-1)
 
     def scale(self, k: Rational) -> "RatMatrix":
-        kf = _as_fraction(k)
-        return RatMatrix(tuple(tuple(kf * x for x in r) for r in self.entries))
+        return RatMatrix.from_rows([[k * x for x in r] for r in self.entries])
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
@@ -397,19 +380,19 @@ class RatMatrix:
         if not self.is_square():
             raise SizeMismatchError("inverse of a non-square matrix")
         n = self.rows
-        m = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(self.entries)]
+        m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(self.entries)]
         for col in range(n):
             pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
             if pivot is None:
                 raise ZeroDivisionError("matrix is singular")
             m[col], m[pivot] = m[pivot], m[col]
-            inv = 1 / m[col][col]
+            inv = Fraction(1, m[col][col])
             m[col] = [x * inv for x in m[col]]
             for r in range(n):
                 if r != col and m[r][col] != 0:
                     factor = m[r][col]
                     m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-        return RatMatrix(tuple(tuple(row[n:]) for row in m))
+        return RatMatrix.from_rows([row[n:] for row in m])
 
 
 def int_det(rows: Sequence[Sequence[int]]) -> int:

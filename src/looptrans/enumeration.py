@@ -880,7 +880,7 @@ def class_counts(vertices: int, colors: int, regime: str = "mixed") -> tuple[int
             for e, a in enumerate(logs[vertices // j]):
                 spread[j * e] = a * _mobius(j) / j
             connected = _poly_add(connected, spread)
-    if any(Fraction(a).denominator != 1 for a in connected):
+    if any(a.denominator != 1 for a in connected):
         raise RuntimeError("Burnside count is not integral")
     treelike = connected[vertices - 1] if vertices - 1 < len(connected) else 0
     return int(sum(connected)), int(treelike)

@@ -50,13 +50,15 @@ def dumps_json(g: LoopSignedGraph) -> str:
 def _parse_json(doc: object) -> LoopSignedGraph:
     if not isinstance(doc, dict):
         raise GraphFormatError("top level must be a JSON object")
-    if doc.get("version") != 1:
+    # type() rather than isinstance(): a JSON true is a bool, an int subclass
+    version = doc.get("version")
+    if type(version) is not int or version != 1:
         raise GraphFormatError("field 'version': expected 1")
     vertices = doc.get("vertices")
     colors = doc.get("colors")
-    if not isinstance(vertices, int) or vertices < 1:
+    if type(vertices) is not int or vertices < 1:
         raise GraphFormatError("field 'vertices': expected a positive integer")
-    if not isinstance(colors, int) or colors < 1:
+    if type(colors) is not int or colors < 1:
         raise GraphFormatError("field 'colors': expected a positive integer")
     adjacency = doc.get("adjacency")
     if not isinstance(adjacency, list) or len(adjacency) != colors:
@@ -66,7 +68,7 @@ def _parse_json(doc: object) -> LoopSignedGraph:
         if not isinstance(entry, dict):
             raise GraphFormatError("adjacency entries must be objects")
         c = entry.get("color")
-        if not isinstance(c, int) or not 1 <= c <= colors:
+        if type(c) is not int or not 1 <= c <= colors:
             raise GraphFormatError(f"adjacency entry: bad 'color' {c!r}")
         if c in specs:
             raise GraphFormatError(f"colour {c} listed twice")
@@ -77,7 +79,7 @@ def _parse_json(doc: object) -> LoopSignedGraph:
             raise GraphFormatError(f"colour {c}: 'loops' must be an object")
         edges = []
         for e in edge_list:
-            if not (isinstance(e, list) and len(e) == 2 and all(isinstance(v, int) for v in e)):
+            if not (isinstance(e, list) and len(e) == 2 and all(type(v) is int for v in e)):
                 raise GraphFormatError(f"colour {c}: edge {e!r} must be a pair of integers")
             edges.append((e[0], e[1]))
         loops = {}
@@ -197,7 +199,7 @@ def parse_witness(text: str) -> RatMatrix:
                 raise GraphFormatError(f"entry ({r+1},{cix+1}): expected integer or 'p/q'")
             if isinstance(x, str) and not re.fullmatch(r"-?\d+/0*[1-9]\d*", x):
                 raise GraphFormatError(f"entry ({r+1},{cix+1}): bad rational {x!r}")
-            out.append(Fraction(x))
+            out.append(Fraction(x) if isinstance(x, str) else x)
         rows.append(out)
     if any(len(r) != len(rows[0]) for r in rows):
         raise GraphFormatError("witness rows have unequal lengths")

@@ -92,23 +92,33 @@ class LoopSignedGraph:
 
 
 def validate(g: LoopSignedGraph) -> str | None:
-    """Return None when valid, else a message naming the first violation."""
-    if g.vertices < 1:
+    """Return None when valid, else a message naming the first violation.
+
+    The one check that each colour is a symmetric signed permutation of 1..V,
+    +1 off the diagonal and +-1 on it; symmetry makes it a permutation.
+    """
+    n = g.vertices
+    if n < 1:
         return "graph must have at least one vertex"
-    if g.vertices > MAX_VERTICES:
+    if n > MAX_VERTICES:
         return f"at most {MAX_VERTICES} vertices supported"
     if g.colors < 1:
         return "graph must have at least one colour"
-    for c, p in enumerate(g.adjacency, start=1):
-        if p.size != g.vertices:
-            return f"colour {c} acts on {p.size} points, expected {g.vertices}"
-        for i, (t, s) in enumerate(zip(p.targets, p.signs), start=1):
-            if t != i and s != 1:
-                return f"colour {c}: off-diagonal entry at ({i},{t}) is negative"
-            if p.targets[t - 1] != i:
-                return f"colour {c}: not symmetric at vertex {i}"
-            if t != i and p.signs[t - 1] != s:
-                return f"colour {c}: sign mismatch on edge ({i},{t})"
+    try:
+        for c, p in enumerate(g.adjacency, start=1):
+            targets, signs = p.targets, p.signs
+            if len(targets) != n or len(signs) != n:
+                return f"colour {c}: {len(targets)} targets and {len(signs)} signs for {n} vertices"
+            for i, (t, s) in enumerate(zip(targets, signs), start=1):
+                if s != 1 and (t != i or s != -1):
+                    if t == i:
+                        return f"colour {c}: loop sign {s!r} at vertex {i} is not +1 or -1"
+                    return f"colour {c}: off-diagonal entry at ({i},{t}) is negative or not a unit"
+                # a target outside 1..V or repeated breaks this somewhere
+                if targets[t - 1] != i:
+                    return f"colour {c}: not symmetric at vertex {i}"
+    except (IndexError, TypeError):
+        return f"colour {c}: targets {targets} are not a permutation of 1..{n}"
     return None
 
 

@@ -18,6 +18,7 @@ closure, and a pair's validity check is remembered per group.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .algebra import (
@@ -37,25 +38,30 @@ from .graph import LoopSignedGraph, components, validate
 class GroupClosure:
     """A finite group of signed permutations with a witness word per element.
 
-    Element 0 is the identity; ``words[i]`` is a colour word whose product
-    (last letter applied last) equals ``elements[i]``.
+    Elements are the :meth:`SignedPerm.encode` codes of ``bfs_closure``;
+    ``elements`` decodes them on request.  Element 0 is the identity;
+    ``words[i]`` is a colour word whose product (last letter applied last)
+    equals element i.
     """
 
     generators: tuple[SignedPerm, ...]
-    elements: tuple[SignedPerm, ...]
+    codes: tuple[Code, ...]
     words: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        codes = tuple(p.encode() for p in self.elements)
-        object.__setattr__(self, "_codes", codes)
-        object.__setattr__(self, "_index", {c: i for i, c in enumerate(codes)})
+    @cached_property
+    def elements(self) -> tuple[SignedPerm, ...]:
+        return tuple(map(SignedPerm.decode, self.codes))
+
+    @cached_property
+    def _index(self) -> dict[Code, int]:
+        return {c: i for i, c in enumerate(self.codes)}
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.codes)
 
     def _lookup(self, code: Code) -> int:
-        idx = self._index.get(code)  # type: ignore[attr-defined]
+        idx = self._index.get(code)
         if idx is None:
             raise KeyError("element not in group")
         return idx
@@ -64,11 +70,10 @@ class GroupClosure:
         return self._lookup(p.encode())
 
     def mul(self, i: int, j: int) -> int:
-        codes = self._codes  # type: ignore[attr-defined]
-        return self._lookup(compose_codes(codes[i], codes[j]))
+        return self._lookup(compose_codes(self.codes[i], self.codes[j]))
 
     def inv(self, i: int) -> int:
-        return self._lookup(inverse_code(self._codes[i]))  # type: ignore[attr-defined]
+        return self._lookup(inverse_code(self.codes[i]))
 
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
         """Classes as the orbits of conjugation by the generators.
@@ -80,7 +85,7 @@ class GroupClosure:
         cached = self.__dict__.get("_classes")
         if cached is not None:
             return cached
-        codes = self._codes  # type: ignore[attr-defined]
+        codes = self.codes
         plus = [1] * self.order
         maps = []
         for gen in (g.encode() for g in self.generators):
@@ -103,9 +108,7 @@ def closure(
     if not generators:
         raise ValueError("need at least one generator")
     codes, words = zip(*bfs_closure([g.encode() for g in generators], cap))
-    return GroupClosure(
-        tuple(generators), tuple(SignedPerm.decode(c) for c in codes), words
-    )
+    return GroupClosure(tuple(generators), codes, words)
 
 
 @dataclass(frozen=True)
@@ -275,13 +278,12 @@ def associated_pairs(
     pairs = []
     for comp in components(g):
         v = comp[0]
-        sub = set()
         char = {}
-        for i, elem in enumerate(grp.elements):
-            if elem.targets[v - 1] == v:
-                sub.add(i)
-                char[i] = elem.signs[v - 1]
-        pairs.append(SubCharPair(frozenset(sub), char))
+        for i, code in enumerate(grp.codes):
+            x = code[v - 1]
+            if x == v or x == -v:
+                char[i] = 1 if x > 0 else -1
+        pairs.append(SubCharPair(frozenset(char), char))
     return grp, tuple(pairs)
 
 

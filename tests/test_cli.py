@@ -76,6 +76,17 @@ def test_mistyped_colour_field_exit_code(field, value, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("doc", [
+    {"version": 1, "vertices": 2, "colors": 1, "adjacency": [{"color": 1, "edges": [[True, 2]]}]},
+    {"version": 1, "vertices": True, "colors": 1, "adjacency": [{"color": 1, "loops": {"1": "N"}}]},
+])
+def test_json_boolean_exit_code(doc, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["check", str(bad), str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_missing_file_exit_code(tmp_path, capsys):
     assert main(["check", str(tmp_path / "nope.json"), str(tmp_path / "nope.json")]) == 2
 

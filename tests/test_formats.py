@@ -75,6 +75,29 @@ def test_parse_rejects_malformed():
             parse_graph(json.dumps(doc))
 
 
+# one document per integer field, with a JSON true where the integer is 1
+_BOOLEAN_FIELDS = {
+    "version": '{"version": true, "vertices": 2, "colors": 1,'
+    ' "adjacency": [{"color": 1, "edges": [[1, 2]]}]}',
+    "vertices": '{"version": 1, "vertices": true, "colors": 1,'
+    ' "adjacency": [{"color": 1, "loops": {"1": "N"}}]}',
+    "colors": '{"version": 1, "vertices": 2, "colors": true,'
+    ' "adjacency": [{"color": 1, "edges": [[1, 2]]}]}',
+    "color": '{"version": 1, "vertices": 2, "colors": 1,'
+    ' "adjacency": [{"color": true, "edges": [[1, 2]]}]}',
+    "edge": '{"version": 1, "vertices": 2, "colors": 1,'
+    ' "adjacency": [{"color": 1, "edges": [[true, 2]]}]}',
+}
+
+
+@pytest.mark.parametrize("field", sorted(_BOOLEAN_FIELDS))
+def test_parse_rejects_json_booleans(field):
+    text = _BOOLEAN_FIELDS[field]
+    parse_graph(text.replace("true", "1"))  # the same document with 1 parses
+    with pytest.raises(GraphFormatError, match=field):
+        parse_graph(text)
+
+
 def test_witness_roundtrip(gww):
     blob = dumps_witness(gww.witness)
     assert parse_witness(blob) == gww.witness
@@ -94,6 +117,19 @@ def test_witness_rejects_malformed():
         with pytest.raises(GraphFormatError, match="bad rational"):
             parse_witness(f'[["{zero}"]]')
     assert parse_witness('[["3/010"]]') == RatMatrix.from_rows([[Fraction(3, 10)]])
+
+
+def test_witness_roundtrip_keeps_ints():
+    rows = [[1, 0, -2], [Fraction(1, 2), Fraction(4, 2), Fraction(-2, 7)]]
+    m = RatMatrix.from_rows(rows)
+    blob = dumps_witness(m)
+    assert blob == '[[1, 0, -2], ["1/2", 2, "-2/7"]]\n'
+    # the same text as a matrix of Fraction entries dumps to
+    assert blob == dumps_witness(RatMatrix(tuple(tuple(map(Fraction, r)) for r in rows)))
+    back = parse_witness(blob)
+    assert back == m
+    assert [type(x) for r in back.entries for x in r] == [int] * 3 + [Fraction, int, Fraction]
+    assert parse_witness('[["4/2", "-0/3"]]').entries == ((2, 0),)
 
 
 def test_export_dot_counts(gww):

@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import permutations
 
@@ -22,6 +23,8 @@ from looptrans.graph import (
     subgraph,
     validate,
 )
+from looptrans.formats import GraphFormatError, parse_graph
+from looptrans.transplant import decide, transplantable
 
 from conftest import random_graph
 
@@ -55,6 +58,40 @@ def test_validate_negative_offdiagonal():
 def test_validate_not_symmetric():
     bad = LoopSignedGraph(3, (SignedPerm((2, 3, 1), (1, 1, 1)),))
     assert "symmetric" in validate(bad)
+
+
+def test_validate_rejects_non_permutation():
+    # SignedPerm takes any targets and signs; validate is where a colour that
+    # is no signed permutation is refused, and every verdict reaches it
+    good = LoopSignedGraph(2, (SignedPerm((2, 1), (1, 1)),))
+    cases = [
+        (SignedPerm((1, 1), (1, 1)), "symmetric"),  # repeated target
+        (SignedPerm((0, 2), (1, 1)), "symmetric"),  # target 0
+        (SignedPerm((3, 2), (1, 1)), "permutation"),  # target V+1
+        (SignedPerm((1, 2), (1, 0)), "loop sign"),
+        (SignedPerm((1, 2), (2, 1)), "loop sign"),
+        (SignedPerm((2, 1), (1,)), "signs"),  # shorter sign list
+    ]
+    for perm, message in cases:
+        bad = LoopSignedGraph(2, (perm,))
+        assert message in validate(bad)
+        for pair in ((bad, good), (good, bad), (bad, bad)):
+            with pytest.raises(ValueError, match=message):
+                decide(*pair)
+            with pytest.raises(ValueError, match=message):
+                transplantable(*pair)
+    # the same faults in a graph file, where the format can express them
+    for edges, loops in (
+        ([[1, 2], [1, 2]], {}),  # repeated target
+        ([[0, 2]], {"1": "N"}),  # target 0
+        ([[1, 3]], {"2": "N"}),  # target V+1
+        ([], {"1": 0, "2": "N"}),
+        ([], {"1": 2, "2": "N"}),
+    ):
+        doc = {"version": 1, "vertices": 2, "colors": 1,
+               "adjacency": [{"color": 1, "edges": edges, "loops": loops}]}
+        with pytest.raises(GraphFormatError):
+            parse_graph(json.dumps(doc))
 
 
 def test_components(gww):

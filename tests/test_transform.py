@@ -304,6 +304,26 @@ def test_cross_witness_transport(square_triangle):
     assert verify_witness(crossed, crossed, cross_witness(ta, tb))
 
 
+def test_transported_witnesses_have_int_entries(gww, square_triangle):
+    def checked(h1, h2, w):
+        assert verify_witness(h1, h2, w)
+        assert all(type(x) is int for row in w.entries for x in row)
+
+    for entry in (gww, square_triangle):
+        g1, g2 = entry.graphs
+        checked(dualize(g1), dualize(g2), transport_dual_witness((g1, g2), entry.witness))
+    n1, n2 = (_all_neumann(g) for g in gww.graphs)
+    a = LoopSignedGraph.build(2, [([(1, 2)], {}), ([], {1: "N", 2: "N"}), ([(1, 2)], {})])
+    checked(cross(n1, a), cross(n2, a), cross_witness(decide(n1, n2).witness, decide(a, a).witness))
+    host, hat_host = square_triangle.graphs
+    sub = LoopSignedGraph.build(3, [([], {1: "N", 2: "N", 3: "N"}), ([(1, 2)], {3: "N"})])
+    assignment = {1: {1: [1], 2: [2]}, 2: {1: [3]}}
+    plan = SubstitutionPlan.create(host, sub, assignment)
+    plan_hat = SubstitutionPlan.create(hat_host, sub, assignment)
+    moved = substitution_witness(plan, square_triangle.witness)
+    checked(substitute(plan), substitute(plan_hat), moved)
+
+
 def test_substitution_worked_example():
     host = LoopSignedGraph.build(2, [([(1, 2)], {}), ([], {1: "D", 2: "N"})])
     sub = LoopSignedGraph.build(

@@ -488,3 +488,36 @@ def test_orbit_labelling_matches_union_find_reference():
         assert len(basis) == len(set(basis))
         assert set(basis) == _reference_basis(a, b)
     assert 0 < verdicts < len(pairs)
+
+
+def test_candidate_witnesses_have_int_entries():
+    positives = 0
+    for a, b in _candidate_pairs():
+        d = decide(a, b)
+        if d.verdict:
+            positives += 1
+            assert all(type(x) is int for row in d.witness.entries for x in row)
+    assert positives == 1069
+
+
+def test_verify_witness_ignores_rational_scale(gww, square_triangle):
+    cases = []
+    for entry in (gww, square_triangle):
+        g1, g2 = entry.graphs
+        t = entry.witness
+        bent = RatMatrix.from_rows([[x + (i == j == 0) for j, x in enumerate(row)]
+                                    for i, row in enumerate(t.entries)])
+        cases += [(g1, g2, t), (g1, g2, bent), (g1, g2, RatMatrix.identity(g1.vertices))]
+    for a, b in _candidate_pairs()[::60]:
+        d = decide(a, b)
+        cases.append((a, b, d.witness if d.verdict else RatMatrix.identity(a.vertices)))
+    singular = RatMatrix.from_rows([[1, 1], [1, 1]])
+    pair = LoopSignedGraph.build(2, [([(1, 2)], {})])
+    cases.append((pair, pair, singular))
+    outcomes = set()
+    for g1, g2, t in cases:
+        expected = verify_witness(g1, g2, t)
+        outcomes.add(expected)
+        for k in (Fraction(1, 2), Fraction(-3, 7), 5, -1):
+            assert verify_witness(g1, g2, t.scale(k)) == expected
+    assert outcomes == {True, False}

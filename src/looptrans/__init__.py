@@ -16,10 +16,8 @@ from .graph import (
 from .catalog import catalog
 from .enumeration import CensusRow, census, census_details, enumerate_classes, find_pairs
 from .invariants import (
-    Fingerprint,
     SpectralReport,
     det_probe,
-    fingerprint,
     kron_probe,
     spectral_report,
     trace_profile,
@@ -40,7 +38,6 @@ __all__ = [
     "CanonicalCode",
     "CensusRow",
     "Decision",
-    "Fingerprint",
     "LoopSignedGraph",
     "PairClosure",
     "RatMatrix",
@@ -57,7 +54,6 @@ __all__ = [
     "double_cover",
     "enumerate_classes",
     "find_pairs",
-    "fingerprint",
     "intertwiner_space",
     "inverse",
     "is_bipartite_loopless",

@@ -361,10 +361,13 @@ class RatMatrix:
         return RatMatrix(tuple(out))
 
     def det(self) -> Fraction:
-        """Exact determinant: each row is scaled to integers by the lcm of its
-        denominators, and the integer determinant is divided by their product."""
+        """Exact determinant: :func:`int_det` of an all-``int`` matrix; else each
+        row is scaled to integers by the lcm of its denominators, and the
+        integer determinant is divided by their product."""
         if not self.is_square():
             raise SizeMismatchError("determinant of a non-square matrix")
+        if all(type(x) is int for r in self.entries for x in r):
+            return Fraction(int_det(self.entries))
         rows: list[list[int]] = []
         scale = 1
         for r in self.entries:

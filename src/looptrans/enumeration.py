@@ -618,8 +618,8 @@ def _braid_rows(
     source, move = np.nonzero(kept.T)
     rows = ((move * m + 2 * source)[:, None] + [0, 1]).ravel()
     bt, bs = bt[rows], bs[rows]
-    # the rest of what braid checks with graph.validate: every colour is a
-    # symmetric involution (+1 off the diagonal holds by the selection)
+    # a kept row must be a valid graph: every braided colour is a symmetric
+    # involution (+1 off the diagonal holds by the selection)
     if not (
         (np.take_along_axis(bt, bt, axis=2) == idx).all()
         and (np.take_along_axis(bs, bt, axis=2) == bs).all()

@@ -4,8 +4,8 @@ Word traces, seeded randomized probes over a prime field, and the spectral
 report of basic invariants.  Equality of any of these is necessary for
 transplantability and never treated as sufficient.  None of them buckets
 census candidates: that is the packed trace hash in ``enumeration``.
-``kron_probe`` and ``det_probe`` serve the CLI ``invariants`` report and
-:func:`fingerprint`.
+``kron_probe`` and ``det_probe`` serve the CLI ``invariants`` report, and
+both read one seeded probe matrix.
 """
 
 from __future__ import annotations
@@ -21,20 +21,11 @@ PRIME_MODULUS = (1 << 61) - 1
 DEFAULT_MAX_WORD = 6
 DEFAULT_KRON_DIM = 3
 # work caps: colors**max_len words for trace_profile (one colour walks one
-# word per length, but its necklaces cost max_len**3 steps), power * (V * dim)**3
-# multiplications for kron_probe; larger requests are refused up front
+# word per length), power * (V * dim)**3 multiplications for kron_probe;
+# larger requests are refused up front
 MAX_PROFILE_WORDS = 2**20
 MAX_SINGLE_COLOUR_WORD = 1000
 MAX_KRON_WORK = 2**27
-
-
-@dataclass(frozen=True)
-class Fingerprint:
-    """Necessary-condition invariant vector: equal on transplantable graphs."""
-
-    word_traces: tuple[tuple[tuple[int, ...], int], ...]
-    probe: tuple[int, ...]
-    det_probe: int
 
 
 @dataclass(frozen=True)
@@ -55,16 +46,8 @@ def word_trace(g: LoopSignedGraph, word: Sequence[int]) -> int:
     return trace(word_product(g.adjacency, word))
 
 
-def necklace_canonical(word: Sequence[int]) -> tuple[int, ...]:
-    """Representative of the word's rotation class (traces are cyclic)."""
-    w = tuple(word)
-    if not w:
-        return w
-    return min(w[i:] + w[:i] for i in range(len(w)))
-
-
 def trace_profile(g: LoopSignedGraph, max_len: int = DEFAULT_MAX_WORD) -> dict[tuple[int, ...], int]:
-    """Traces of one representative per necklace class of words up to max_len."""
+    """Traces of the necklaces (least rotations) of words up to max_len."""
     if max_len < 0:
         raise ValueError("max_len must be non-negative")
     # with two or more colours max_len > 20 is over the cap, and the power
@@ -77,29 +60,48 @@ def trace_profile(g: LoopSignedGraph, max_len: int = DEFAULT_MAX_WORD) -> dict[t
     if g.colors == 1 and max_len > MAX_SINGLE_COLOUR_WORD:
         raise ValueError(f"max_len {max_len} on one colour is more than {MAX_SINGLE_COLOUR_WORD}")
     profile: dict[tuple[int, ...], int] = {}
-    # depth first, colours ascending; children are pushed in reverse so that
-    # colour 1 is walked first
-    stack = [((), SignedPerm.identity(g.vertices))]
+    # depth first over prenecklaces, colours ascending (Fredricksen, Kessler
+    # and Maiorana): p is the length of the word's longest Lyndon prefix, a
+    # word extends by colours c >= word[n - p], and it is a necklace, the
+    # least rotation of its class, exactly when p divides n.  The walk over
+    # all words would meet each class first at its necklace, so the keys
+    # and their order are those of that walk.  Children are pushed in
+    # reverse so that the least colour is walked first.
+    stack = [((), SignedPerm.identity(g.vertices), 1)]
     while stack:
-        word, acc = stack.pop()
-        key = necklace_canonical(word)
-        if key not in profile:
-            profile[key] = trace(acc)
-        if len(word) < max_len:
+        word, acc, p = stack.pop()
+        n = len(word)
+        if n % p == 0:
+            profile[word] = trace(acc)
+        if n < max_len:
+            lo = word[n - p] if word else 1
             stack.extend(
-                (word + (c,), compose(g.color(c), acc)) for c in range(g.colors, 0, -1)
+                (word + (c,), compose(g.color(c), acc), p if c == lo else n + 1)
+                for c in range(g.colors, lo - 1, -1)
             )
     return profile
 
 
-def _probe_matrices(
-    colors: int, dim: int, seed: int | None
-) -> list[list[list[int]]]:
+def _probe_matrix(g: LoopSignedGraph, dim: int, seed: int | None) -> list[list[int]]:
+    """sum_c A^c (x) Z^c over GF(p), each Z^c a seeded random dim x dim matrix.
+
+    The Z^c are drawn colour by colour, row by row, so at ``dim == 1`` they
+    are the scalars z_c of :func:`det_probe`.
+    """
+    p = PRIME_MODULUS
     rng = random.Random(0 if seed is None else seed)
-    return [
-        [[rng.randrange(PRIME_MODULUS) for _ in range(dim)] for _ in range(dim)]
-        for _ in range(colors)
-    ]
+    size = g.vertices * dim
+    m = [[0] * size for _ in range(size)]
+    for perm in g.adjacency:
+        zc = [[rng.randrange(p) for _ in range(dim)] for _ in range(dim)]
+        for i, (t, s) in enumerate(zip(perm.targets, perm.signs)):
+            for a in range(dim):
+                row = m[i * dim + a]
+                za = zc[a]
+                for b in range(dim):
+                    col = (t - 1) * dim + b
+                    row[col] = (row[col] + s * za[b]) % p
+    return m
 
 
 def kron_probe(
@@ -119,26 +121,13 @@ def kron_probe(
     if k_max < 1:
         raise ValueError("power must be at least 1")
     p = PRIME_MODULUS
-    n = g.vertices
-    if k_max * (n * dim) ** 3 > MAX_KRON_WORK:
+    size = g.vertices * dim
+    if k_max * size**3 > MAX_KRON_WORK:
         raise ValueError(
-            f"power {k_max} at dimension {n * dim} needs more than "
+            f"power {k_max} at dimension {size} needs more than "
             f"{MAX_KRON_WORK} multiplications"
         )
-    z = _probe_matrices(g.colors, dim, seed)
-    size = n * dim
-    m = [[0] * size for _ in range(size)]
-    for c in range(1, g.colors + 1):
-        perm = g.color(c)
-        zc = z[c - 1]
-        for i in range(n):
-            t, s = perm.targets[i] - 1, perm.signs[i]
-            for a in range(dim):
-                row = m[i * dim + a]
-                za = zc[a]
-                for b in range(dim):
-                    col = t * dim + b
-                    row[col] = (row[col] + s * za[b]) % p
+    m = _probe_matrix(g, dim, seed)
     out = []
     power_m = m
     out.append(sum(power_m[i][i] for i in range(size)) % p)
@@ -149,7 +138,6 @@ def kron_probe(
 
 
 def _matmul_mod(a: list[list[int]], b: list[list[int]], p: int) -> list[list[int]]:
-    size = len(a)
     bt = list(zip(*b))
     return [
         [sum(x * y for x, y in zip(row, col)) % p for col in bt]
@@ -160,16 +148,8 @@ def _matmul_mod(a: list[list[int]], b: list[list[int]], p: int) -> list[list[int
 def det_probe(g: LoopSignedGraph, seed: int | None = None) -> int:
     """det(sum_c z_c A^c) at seeded random scalars z over GF(p)."""
     p = PRIME_MODULUS
-    rng = random.Random(0 if seed is None else seed)
-    zs = [rng.randrange(p) for _ in range(g.colors)]
     n = g.vertices
-    m = [[0] * n for _ in range(n)]
-    for c in range(1, g.colors + 1):
-        perm = g.color(c)
-        zc = zs[c - 1]
-        for i in range(n):
-            t, s = perm.targets[i] - 1, perm.signs[i]
-            m[i][t] = (m[i][t] + s * zc) % p
+    m = _probe_matrix(g, 1, seed)
     det = 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if m[r][col]), None)
@@ -185,22 +165,6 @@ def det_probe(g: LoopSignedGraph, seed: int | None = None) -> int:
                 factor = m[r][col] * inv % p
                 m[r] = [(x - factor * y) % p for x, y in zip(m[r], m[col])]
     return det
-
-
-def fingerprint(
-    g: LoopSignedGraph,
-    max_len: int = DEFAULT_MAX_WORD,
-    kron_dim: int = DEFAULT_KRON_DIM,
-    kron_pow: int | None = None,
-    seed: int | None = None,
-) -> Fingerprint:
-    """Full fingerprint: trace profile plus the two randomized probes."""
-    profile = trace_profile(g, max_len)
-    return Fingerprint(
-        word_traces=tuple(sorted(profile.items())),
-        probe=kron_probe(g, kron_dim, kron_pow, seed),
-        det_probe=det_probe(g, seed),
-    )
 
 
 def spectral_report(g: LoopSignedGraph) -> SpectralReport:

@@ -20,7 +20,7 @@ from .algebra import (
     diagonal_normalizer,
     kronecker,
 )
-from .graph import LoopSignedGraph, components, subgraph, validate
+from .graph import LoopSignedGraph, components, subgraph
 from .transplant import transplantable
 
 
@@ -128,13 +128,9 @@ def braid(g: LoopSignedGraph, c: int, conjugator: int) -> LoopSignedGraph:
     versions).  Loop signs are carried along unchanged.
     """
     perms, signs = _braid_normalizer(g, c, conjugator)
-    out = LoopSignedGraph(
+    return LoopSignedGraph(
         g.vertices, tuple(conjugate_by_diagonal(p, signs) for p in perms)
     )
-    err = validate(out)
-    if err is not None:
-        raise RuntimeError(err)
-    return out
 
 
 def braid_conjugator(g: LoopSignedGraph, c: int, conjugator: int) -> RatMatrix:
@@ -300,11 +296,7 @@ def substitute(plan: SubstitutionPlan) -> LoopSignedGraph:
                     targets[idx - 1] = (tp - 1) * nv + q
                     signs[idx - 1] = sp
         perms.append(SignedPerm(tuple(targets), tuple(signs)))
-    out = LoopSignedGraph(size, tuple(perms))
-    err = validate(out)
-    if err is not None:
-        raise RuntimeError(err)
-    return out
+    return LoopSignedGraph(size, tuple(perms))
 
 
 def substitution_witness(plan: SubstitutionPlan, witness: RatMatrix) -> RatMatrix:

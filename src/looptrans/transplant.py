@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterator, Literal, Sequence
 
 from .algebra import (
@@ -251,14 +250,12 @@ def _invertible_combination(labels: _Labels, n: int, seed: int | None) -> RatMat
     if found is not None:
         return found
     rng = random.Random(seed if seed is not None else 0)
+    # det is a nonzero polynomial of degree n in the coefficients, so a draw
+    # from [-2^30, 2^30] is singular with probability at most n / 2^31
+    # (Schwartz-Zippel)
     for bound in (3, 1 << 30):
         for _ in range(_WITNESS_RETRIES):
             coeffs = [rng.randint(-bound, bound) for _ in live]
-            found = try_coeffs(coeffs)
-            if found is not None:
-                return found
-    if len(live) <= 8:
-        for coeffs in product((-1, 0, 1), repeat=len(live)):
             found = try_coeffs(coeffs)
             if found is not None:
                 return found

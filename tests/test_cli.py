@@ -1,5 +1,6 @@
 import functools
 import json
+from pathlib import Path
 
 import pytest
 
@@ -168,6 +169,22 @@ def test_invariants_output(gww_files, capsys):
     assert doc["boundary_balance"] == [-1, -1, 1]
     assert doc["word_traces"]["1"] == -1
     assert doc["loopless_edges"] is None
+
+
+_INVARIANTS_GOLDEN = Path(__file__).parent / "data" / "invariants_seed5.json"
+
+
+@pytest.mark.parametrize(
+    "name", ["gww-1", "gww-2", "square-triangle-1", "square-triangle-2"]
+)
+def test_invariants_golden_output(name, tmp_path, capsys):
+    # the whole report, byte for byte: word traces, probes and spectral data
+    entry, k = name.rsplit("-", 1)
+    path = tmp_path / f"{name}.json"
+    path.write_text(dumps_json(catalog(entry).graphs[int(k) - 1]))
+    assert main(["invariants", str(path), "--max-word", "6", "--seed", "5"]) == 0
+    expected = json.loads(_INVARIANTS_GOLDEN.read_text())[name]
+    assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
 
 
 @pytest.mark.parametrize(

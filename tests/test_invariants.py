@@ -5,20 +5,26 @@ from itertools import product
 
 import pytest
 
-from looptrans.algebra import RatMatrix, SignedPerm, compose, trace
+from looptrans.algebra import RatMatrix, SignedPerm, compose, int_det, trace
 from looptrans.graph import LoopSignedGraph
 from looptrans.invariants import (
     PRIME_MODULUS,
     det_probe,
-    fingerprint,
     kron_probe,
-    necklace_canonical,
     spectral_report,
     trace_profile,
     word_trace,
 )
 
 from conftest import random_graph
+
+
+def necklace_canonical(word):
+    """Representative of the word's rotation class: its least rotation."""
+    w = tuple(word)
+    if not w:
+        return w
+    return min(w[i:] + w[:i] for i in range(len(w)))
 
 
 def _single_vertex(sign):
@@ -138,12 +144,21 @@ def _recursive_profile(g, max_len):
 
 def test_trace_profile_walks_words_in_recursive_order():
     rng = random.Random(11)
-    for colors, max_len in ((1, 9), (2, 7), (3, 5)):
+    for colors, max_len in ((1, 9), (2, 7), (3, 5), (2, 12), (4, 4)):
         for _ in range(4):
             g = random_graph(rng, rng.randint(1, 6), colors)
             assert list(trace_profile(g, max_len).items()) == list(
                 _recursive_profile(g, max_len).items()
             )
+    # one colour at the cap, against the closed form: A is an involution, so
+    # tr A^k is tr A for odd k and V for even k
+    for _ in range(4):
+        g = random_graph(rng, rng.randint(1, 6), 1)
+        closed = [
+            ((1,) * k, trace(g.color(1)) if k % 2 else g.vertices)
+            for k in range(1001)
+        ]
+        assert list(trace_profile(g, 1000).items()) == closed
 
 
 def test_one_colour_profile_is_iterative():
@@ -166,16 +181,28 @@ def test_det_probe(gww, square_triangle):
     assert det_probe(s, seed=3) == det_probe(t, seed=3)
 
 
+def test_det_probe_matches_integer_determinant():
+    # independent oracle: the exact integer determinant of sum_c z_c A^c from
+    # the dense colour matrices, reduced mod p; z_c are the seeded draws
+    rng = random.Random(12)
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(1, 6), rng.randint(1, 4))
+        seed = rng.choice((None, 0, 5, 11))
+        draws = random.Random(0 if seed is None else seed)
+        zs = [draws.randrange(PRIME_MODULUS) for _ in range(g.colors)]
+        m = [[0] * g.vertices for _ in range(g.vertices)]
+        for z, perm in zip(zs, g.adjacency):
+            for i, row in enumerate(perm.to_matrix().entries):
+                for j, x in enumerate(row):
+                    m[i][j] += z * x
+        assert det_probe(g, seed) == int_det(m) % PRIME_MODULUS
+
+
 def test_det_probe_identity_colour():
     g = LoopSignedGraph.build(3, [([], {1: "N", 2: "N", 3: "N"})])
     rng = random.Random(0)
     z = rng.randrange(PRIME_MODULUS)
     assert det_probe(g, seed=0) == pow(z, 3, PRIME_MODULUS)
-
-
-def test_fingerprint_equality_for_pair(gww):
-    g1, g2 = gww.graphs
-    assert fingerprint(g1, seed=11) == fingerprint(g2, seed=11)
 
 
 def test_spectral_report(gww, square_triangle):

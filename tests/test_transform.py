@@ -1,3 +1,4 @@
+import functools
 import random
 from itertools import product
 
@@ -5,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from looptrans.algebra import RatMatrix, SignedPerm, compose
+from looptrans.catalog import catalog
+from looptrans.enumeration import census_details
 from looptrans.graph import (
     LoopSignedGraph,
     canonical_form,
@@ -13,6 +16,7 @@ from looptrans.graph import (
     is_bipartite_loopless,
     is_connected,
     is_treelike,
+    validate,
 )
 from looptrans.invariants import word_trace
 from looptrans.transform import (
@@ -132,7 +136,9 @@ def test_braid_matches_brute_force(g):
             with pytest.raises(NotNormalizable):
                 braid(g, c, conj)
         else:
-            assert braid(g, c, conj) == _oracle_conjugate(g.vertices, perms, expected)
+            braided = braid(g, c, conj)
+            assert braided == _oracle_conjugate(g.vertices, perms, expected)
+            assert validate(braided) is None
             n = g.vertices
             assert braid_conjugator(g, c, conj) == RatMatrix.from_rows(
                 [[expected[i] if i == j else 0 for j in range(n)] for i in range(n)]
@@ -409,3 +415,55 @@ def test_substitution_witness_transport(square_triangle):
     plan_hat = SubstitutionPlan.create(hat_host, sub, assignment)
     moved = substitution_witness(plan, witness)
     assert verify_witness(substitute(plan), substitute(plan_hat), moved)
+
+
+_substituents = st.builds(
+    lambda seed, vertices, colors: random_graph(random.Random(seed), vertices, colors),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 4),
+    st.integers(1, 4),
+)
+
+
+def _draw_assignment(data, host_colors, sub):
+    """A valid plan's assignment: each Neumann loop of each substituent
+    colour routes one host colour, or none."""
+    assignment = {}
+    for chi in range(1, sub.colors + 1):
+        per_host = {}
+        for v, sign in sorted(sub.loops(chi).items()):
+            if sign == "N":
+                c = data.draw(st.integers(0, host_colors))
+                if c:
+                    per_host.setdefault(c, []).append(v)
+        assignment[chi] = per_host
+    return assignment
+
+
+@settings(max_examples=150, deadline=None)
+@given(host=_random_graphs, sub=_substituents, data=st.data())
+def test_substitute_builds_valid_graphs(host, sub, data):
+    plan = SubstitutionPlan.create(host, sub, _draw_assignment(data, host.colors, sub))
+    assert validate(substitute(plan)) is None
+
+
+@functools.lru_cache(maxsize=None)
+def _transplantable_hosts():
+    """(g1, g2, witness) for the catalog pairs and the C=3 V=4 census pairs."""
+    hosts = [
+        (*e.graphs, e.witness) for e in (catalog("gww"), catalog("square-triangle"))
+    ]
+    hosts += [(g1, g2, decide(g1, g2).witness) for g1, g2 in census_details(4, 3, "mixed")[1]]
+    return hosts
+
+
+@settings(max_examples=100, deadline=None)
+@given(sub=_substituents, data=st.data())
+def test_substitution_witness_verifies(sub, data):
+    g1, g2, t = data.draw(st.sampled_from(_transplantable_hosts()))
+    assignment = _draw_assignment(data, g1.colors, sub)
+    plan1 = SubstitutionPlan.create(g1, sub, assignment)
+    plan2 = SubstitutionPlan.create(g2, sub, assignment)
+    h1, h2 = substitute(plan1), substitute(plan2)
+    assert validate(h1) is None and validate(h2) is None
+    assert verify_witness(h1, h2, substitution_witness(plan1, t))

@@ -23,12 +23,14 @@ complete before that slot belong to shard 0.  A frontier step is also where a fu
 test on partial labelings would run, vectorized over the rows.
 
 The canonicity filter and the word-trace fingerprints are vectorized over
-each finished block of leaves.  One packed routine computes the BFS code
-from one start vertex; the filter runs each start vertex only on the rows
-that no earlier one rejected, and :func:`canonical_codes` takes the minimum
-over all start vertices, so the colour and quilt quotients code whole
-batches of pairs at once.  :func:`class_counts` counts the classes by
-Burnside's lemma without the generator, as an independent check.
+each finished block of leaves, with 1-D gathers on the flat int8 block at
+``row*C*V + c*V + v``.  One packed routine computes the BFS code from one
+start vertex; the filter runs each start vertex only on the rows that no
+earlier one rejected and stops each row at the first byte where the two
+codes differ, and :func:`canonical_codes` takes the minimum over all start
+vertices, so the colour and quilt quotients code whole batches of pairs at
+once.  :func:`class_counts` counts the classes by Burnside's lemma without
+the generator, as an independent check.
 
 The fingerprint evaluates one colour word per trace class.  Every colour
 matrix A^c is a symmetric signed permutation, so A^c A^c = I,
@@ -230,42 +232,75 @@ def _generate_leaves(
         yield rows[:, :cv].reshape(-1, C, V), rows[:, cv : 2 * cv].reshape(-1, C, V)
 
 
-def _start_codes(t0: np.ndarray, signs: np.ndarray, start: int) -> np.ndarray:
-    """BFS codes of packed connected rows from one start vertex (0-based).
+def _start_codes(
+    tarr: np.ndarray, sarr: np.ndarray, rows: np.ndarray, start: int,
+    ref: np.ndarray | None = None,
+) -> np.ndarray:
+    """BFS codes of some packed connected rows from one start vertex (0-based).
 
-    ``t0`` holds 0-based targets, (N, C, V).  Colour by colour, the code
-    lists for each vertex in BFS discovery order (colours ascending) the
-    discovery number 1..V of its partner, or its loop byte: the per-start
-    serialization of :func:`graph._component_code`, as (N, C*V) uint8.
+    ``tarr`` (1-based targets) and ``sarr`` are C-contiguous (N, C, V) and
+    ``rows`` picks the rows.  Colour by colour, the code lists for each
+    vertex in BFS discovery order (colours ascending) the discovery number
+    1..V of its partner, or its loop byte: the per-start serialization of
+    :func:`graph._component_code`.  Every lookup is a 1-D gather on the flat
+    blocks at ``row*C*V + c*V + v``; numbers and order are (n, V) uint8.
+
+    Without ``ref`` this returns the codes, (n, C*V) uint8; with the codes
+    to beat, True where the code sorts strictly before ``ref``.  Byte j of
+    the first colour is final before slot j is read, since the j-th vertex's
+    partner has its number or takes the next one.  So a row stops at its
+    first byte that differs from ``ref``, marked if smaller and dropped if
+    larger; only rows tied through the first colour get the full code.
     """
-    n, c_count, v_count = t0.shape
-    rows = np.arange(n)
-    rank = np.full((n, v_count), -1, np.int16)
-    order = np.zeros((n, v_count), np.int64)
+    _, c_count, v_count = tarr.shape
+    tflat, sflat = tarr.reshape(-1), sarr.reshape(-1)
+    less, pos = np.zeros(len(rows), bool), np.arange(len(rows))
+    base = rows * (c_count * v_count)
+    rank, order = np.zeros((2, len(rows), v_count), np.uint8)
+    rank[:, start] = 1
     order[:, 0] = start
-    rank[:, start] = 0
-    cnt = np.ones(n, np.int64)
-    # a connected row has found every vertex before its last slot is read
-    for slot in range(v_count - 1):
-        u = order[:, slot]
+    count = np.ones(len(rows), np.uint8)
+    for j in range(v_count):
+        at = base + order[:, j]
+        t = tflat[at] - 1
+        slots = np.arange(0, rank.size, v_count)
+        seen = rank.reshape(-1)[slots + t]
+        if ref is not None:
+            byte = np.where(seen > 0, seen, count + 1)
+            loop = np.flatnonzero(t == order[:, j])
+            byte[loop] = np.where(sflat[at[loop]] < 0, DIRICHLET_BYTE, NEUMANN_BYTE)
+            own = ref[pos, j]
+            less[pos[byte < own]] = True
+            tie = byte == own
+            if not tie.all():
+                pos, base, rank, order, count, at, t, seen = (
+                    a[tie] for a in (pos, base, rank, order, count, at, t, seen)
+                )
+                slots = np.arange(0, rank.size, v_count)
+        # a connected row has found every vertex before its last slot is read
+        if j == v_count - 1 or not len(pos):
+            break
         for c in range(c_count):
-            t = t0[rows, c, u]
-            new = rank[rows, t] < 0
-            nr = rows[new]
-            nt = t[new]
-            rank[nr, nt] = cnt[new]
-            order[nr, cnt[new]] = nt
-            cnt[new] += 1
-    # colour by colour, so that temporaries stay (N, V)
-    code = np.empty((n, c_count * v_count), np.uint8)
+            if c:
+                t = tflat[at + c * v_count] - 1
+                seen = rank.reshape(-1)[slots + t]
+            new = np.flatnonzero(seen == 0)
+            k = count[new]
+            rank.reshape(-1)[slots[new] + t[new]] = k + 1
+            order.reshape(-1)[slots[new] + k] = t[new]
+            count[new] = k + 1
+    # colour by colour, so that temporaries stay (n, V)
+    code = np.empty((len(pos), c_count, v_count), np.uint8)
     for c in range(c_count):
-        tt = np.take_along_axis(t0[:, c, :], order, axis=1)
-        ss = np.take_along_axis(signs[:, c, :], order, axis=1)
-        rk = np.take_along_axis(rank, tt, axis=1) + 1
-        code[:, c * v_count : (c + 1) * v_count] = np.where(
-            tt == order, np.where(ss < 0, DIRICHLET_BYTE, NEUMANN_BYTE), rk
-        )
-    return code
+        at = (base + c * v_count)[:, None] + order
+        t = tflat[at] - 1
+        loop = np.where(sflat[at] < 0, np.uint8(DIRICHLET_BYTE), np.uint8(NEUMANN_BYTE))
+        code[:, c] = np.where(t == order, loop, rank.reshape(-1)[slots[:, None] + t])
+    code = code.reshape(len(pos), c_count * v_count)
+    if ref is None:
+        return code
+    less[pos[_lex_less(code, ref[pos])]] = True
+    return less
 
 
 def _lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -281,21 +316,21 @@ def _canonical_mask(tarr: np.ndarray, sarr: np.ndarray) -> np.ndarray:
     Rows must be connected and BFS-consistent from vertex 1 (the generator's
     output), so a row's own serialization equals its start-1 code and only
     the other start vertices need to be tried.  Each start vertex is tried
-    on the rows that no earlier one has rejected.
+    on the rows that no earlier one has rejected, and stops on each row at
+    the first byte where the two codes differ.
     """
     n, c_count, v_count = tarr.shape
-    t0 = tarr.astype(np.int64) - 1
+    tarr, sarr = np.ascontiguousarray(tarr), np.ascontiguousarray(sarr)
     ref = np.where(
-        t0 == np.arange(v_count),
-        np.where(sarr < 0, DIRICHLET_BYTE, NEUMANN_BYTE),
-        tarr,
-    ).astype(np.uint8).reshape(n, c_count * v_count)
+        tarr == np.arange(1, v_count + 1),
+        np.where(sarr < 0, np.uint8(DIRICHLET_BYTE), np.uint8(NEUMANN_BYTE)),
+        tarr.astype(np.uint8),
+    ).reshape(n, c_count * v_count)
     live = np.arange(n)
     for start in range(1, v_count):
         if not len(live):
             break
-        keep = ~_lex_less(_start_codes(t0, sarr, start), ref)
-        live, t0, sarr, ref = live[keep], t0[keep], sarr[keep], ref[keep]
+        live = live[~_start_codes(tarr, sarr, live, start, ref[live])]
     mask = np.zeros(n, dtype=bool)
     mask[live] = True
     return mask
@@ -308,10 +343,11 @@ def canonical_codes(targets: np.ndarray, signs: np.ndarray) -> np.ndarray:
     the result is (N, C*V) uint8 and row i equals
     ``canonical_form(g_i).code[1:]``; other rows give no meaningful code.
     """
-    t0 = targets.astype(np.int64) - 1
-    best = _start_codes(t0, signs, 0)
+    targets, signs = np.ascontiguousarray(targets), np.ascontiguousarray(signs)
+    rows = np.arange(len(targets))
+    best = _start_codes(targets, signs, rows, 0)
     for start in range(1, targets.shape[2]):
-        code = _start_codes(t0, signs, start)
+        code = _start_codes(targets, signs, rows, start)
         less = _lex_less(code, best)
         best[less] = code[less]
     return best
@@ -353,20 +389,24 @@ def _trace_hash(tarr: np.ndarray, sarr: np.ndarray, max_len: int) -> np.ndarray:
     word the trace of the least representative of a bracelet (rotation and
     reversal) class of cyclically reduced words, so only those words are
     evaluated, on a depth-first walk of their prefix trie that holds the
-    current path only.  Equal hashes are necessary for equal trace profiles;
-    collisions only send extra candidates to the exact decision.
+    current path only.  A prefix's signed map is followed by the next
+    colour's, one 1-D gather on the flat blocks at ``row*C*V + c*V + v``;
+    that is the matrix of the reversed word, whose trace is the same.  Equal
+    hashes are necessary for equal trace profiles; collisions only send
+    extra candidates to the exact decision.
     """
     n, c_count, v_count = tarr.shape
     idx = np.arange(v_count, dtype=np.int8)
-    t0 = tarr - 1
+    tflat, sflat = tarr.reshape(-1), sarr.reshape(-1)
+    base = np.arange(0, tflat.size, c_count * v_count)[:, None]
     h = np.zeros(n, np.uint64)
     mul = np.uint64(1099511628211)
     path = [(np.broadcast_to(idx, (n, v_count)), np.ones((n, v_count), np.int8))]
     for depth, c, is_rep in _bracelet_trie(c_count, max_len):
         tw, sw = path[depth - 1]
-        tc = t0[:, c, :]
-        tn = np.take_along_axis(tw, tc, axis=1)
-        sn = sarr[:, c, :] * np.take_along_axis(sw, tc, axis=1)
+        at = (base + c * v_count) + tw
+        tn = tflat[at] - 1
+        sn = sw * sflat[at]
         del path[depth:]
         path.append((tn, sn))
         if is_rep:

@@ -11,6 +11,8 @@ from looptrans import enumeration
 from looptrans.algebra import SignedPerm
 from looptrans.catalog import CATALOG_NAMES, catalog
 from looptrans.graph import (
+    DIRICHLET_BYTE,
+    NEUMANN_BYTE,
     LoopSignedGraph,
     _bfs_order,
     canonical_form,
@@ -295,12 +297,18 @@ def test_trace_hash_matches_trace_profile():
 
 
 def _full_word_trace_hash(tarr, sarr, max_len):
-    """Reference oracle: the rolling hash over every word of length 1 .. max_len."""
+    """Reference oracle: the rolling hash over every word of length 1 .. max_len.
+
+    Each word's signed map is its prefix's composed with the next colour,
+    one 1-D gather on the prefix's flat (N*V,) rows per word."""
     n, c_count, v_count = tarr.shape
     idx = np.arange(v_count, dtype=np.int8)
-    t0 = tarr - 1
     h = np.zeros(n, np.uint64)
     mul = np.uint64(1099511628211)
+    # at[c][r, v]: flat index of row r's entry at the colour-c partner of v
+    rows = np.arange(0, n * v_count, v_count)[:, None]
+    at = [rows + (tarr[:, c, :] - 1) for c in range(c_count)]
+    signs = [np.ascontiguousarray(sarr[:, c, :]) for c in range(c_count)]
 
     def visit(tw, sw):
         nonlocal h
@@ -313,12 +321,9 @@ def _full_word_trace_hash(tarr, sarr, max_len):
         if depth >= max_len:
             return
         for c in range(c_count):
-            tc = t0[:, c, :]
-            tn = np.take_along_axis(tw, tc, axis=1)
-            sn = sarr[:, c, :] * np.take_along_axis(sw, tc, axis=1)
-            rec(tn, sn, depth + 1)
+            rec(tw.reshape(-1)[at[c]], signs[c] * sw.reshape(-1)[at[c]], depth + 1)
 
-    rec(np.broadcast_to(idx, (n, v_count)), np.ones((n, v_count), np.int8), 0)
+    rec(np.tile(idx, (n, 1)), np.ones((n, v_count), np.int8), 0)
     return h
 
 
@@ -448,15 +453,145 @@ def test_canonical_mask_stops_when_every_row_is_dead(monkeypatch):
     calls = []
     start_codes = enumeration._start_codes
 
-    def counted(t0, signs, start):
-        calls.append((start, len(t0)))
-        return start_codes(t0, signs, start)
+    def counted(tarr, sarr, rows, start, ref=None):
+        calls.append((start, len(rows)))
+        return start_codes(tarr, sarr, rows, start, ref)
 
     monkeypatch.setattr(enumeration, "_start_codes", counted)
     mask = _canonical_mask(*_pack(graphs))
     assert not mask.any()
     assert not any(is_canonical(g) for g in graphs)
     assert calls == [(1, len(graphs))]
+
+
+def _reference_start_codes(t0, signs, start):
+    """Reference oracle: the int64 per-start BFS code the flat kernel
+    replaced, on 0-based targets, with 2-D gathers and no early exit."""
+    n, c_count, v_count = t0.shape
+    rows = np.arange(n)
+    rank = np.full((n, v_count), -1, np.int16)
+    order = np.zeros((n, v_count), np.int64)
+    order[:, 0] = start
+    rank[:, start] = 0
+    cnt = np.ones(n, np.int64)
+    for slot in range(v_count - 1):
+        u = order[:, slot]
+        for c in range(c_count):
+            t = t0[rows, c, u]
+            new = rank[rows, t] < 0
+            nr = rows[new]
+            nt = t[new]
+            rank[nr, nt] = cnt[new]
+            order[nr, cnt[new]] = nt
+            cnt[new] += 1
+    code = np.empty((n, c_count * v_count), np.uint8)
+    for c in range(c_count):
+        tt = np.take_along_axis(t0[:, c, :], order, axis=1)
+        ss = np.take_along_axis(signs[:, c, :], order, axis=1)
+        rk = np.take_along_axis(rank, tt, axis=1) + 1
+        code[:, c * v_count : (c + 1) * v_count] = np.where(
+            tt == order, np.where(ss < 0, DIRICHLET_BYTE, NEUMANN_BYTE), rk
+        )
+    return code
+
+
+def _reference_lex_less(a, b):
+    neq = a != b
+    first = neq.argmax(axis=1)[:, None]
+    return np.take_along_axis(neq & (a < b), first, axis=1)[:, 0]
+
+
+def _reference_canonical_mask(tarr, sarr):
+    """Reference oracle: each start vertex's whole code against the row's own."""
+    n, c_count, v_count = tarr.shape
+    t0 = tarr.astype(np.int64) - 1
+    ref = np.where(
+        t0 == np.arange(v_count),
+        np.where(sarr < 0, DIRICHLET_BYTE, NEUMANN_BYTE),
+        tarr,
+    ).astype(np.uint8).reshape(n, c_count * v_count)
+    live = np.arange(n)
+    for start in range(1, v_count):
+        keep = ~_reference_lex_less(_reference_start_codes(t0, sarr, start), ref)
+        live, t0, sarr, ref = live[keep], t0[keep], sarr[keep], ref[keep]
+    mask = np.zeros(n, dtype=bool)
+    mask[live] = True
+    return mask
+
+
+def _reference_trace_hash(tarr, sarr, max_len):
+    """Reference oracle: the bracelet-trie hash with each prefix composed
+    after the next colour by ``take_along_axis``."""
+    n, c_count, v_count = tarr.shape
+    idx = np.arange(v_count, dtype=np.int8)
+    t0 = tarr - 1
+    h = np.zeros(n, np.uint64)
+    mul = np.uint64(1099511628211)
+    path = [(np.broadcast_to(idx, (n, v_count)), np.ones((n, v_count), np.int8))]
+    for depth, c, is_rep in _bracelet_trie(c_count, max_len):
+        tw, sw = path[depth - 1]
+        tc = t0[:, c, :]
+        tn = np.take_along_axis(tw, tc, axis=1)
+        sn = sarr[:, c, :] * np.take_along_axis(sw, tc, axis=1)
+        del path[depth:]
+        path.append((tn, sn))
+        if is_rep:
+            tr = (sn * (tn == idx)).sum(axis=1, dtype=np.int64)
+            h = h * mul + (tr + (v_count + 1)).astype(np.uint64)
+    return h
+
+
+@pytest.mark.parametrize(
+    "colors,max_vertices,regime",
+    [(3, 6, "mixed"), (3, 7, "dirichlet"), (3, 7, "neumann")]
+    + [(2, 6, regime) for regime in ("mixed", "dirichlet", "neumann")]
+    + [(4, 4, regime) for regime in ("mixed", "dirichlet", "neumann")],
+)
+def test_flat_kernels_match_reference_on_leaf_blocks(colors, max_vertices, regime):
+    for vertices in range(1, max_vertices + 1):
+        for tarr, sarr in _generate_leaves(vertices, colors, _loop_signs(regime)):
+            mask = _canonical_mask(tarr, sarr)
+            assert np.array_equal(mask, _reference_canonical_mask(tarr, sarr)), vertices
+            hashes = _trace_hash(tarr, sarr, DEFAULT_MAX_WORD)
+            expected = _reference_trace_hash(tarr, sarr, DEFAULT_MAX_WORD)
+            assert np.array_equal(hashes, expected), vertices
+            # a canonical row's own serialization is its canonical code
+            own = _reference_start_codes(tarr[mask].astype(np.int64) - 1, sarr[mask], 0)
+            assert np.array_equal(canonical_codes(tarr[mask], sarr[mask]), own)
+
+
+def _first_bytes(g):
+    """Byte 0 of the code from each start vertex: 2 for a colour-1 edge, else
+    the colour-1 loop byte."""
+    p = g.color(1)
+    return [
+        2 if t != v else DIRICHLET_BYTE if s < 0 else NEUMANN_BYTE
+        for v, (t, s) in enumerate(zip(p.targets, p.signs), start=1)
+    ]
+
+
+def test_canonical_mask_rejects_on_byte_zero():
+    # BFS-relabelled rows whose vertex 1 loses byte 0 to another vertex (a
+    # loop against an edge, or a Dirichlet against a Neumann loop), which the
+    # generator never emits, mixed with rows relabelled from a random vertex
+    rng = random.Random(72)
+    for vertices, colors in [(3, 2), (5, 2), (4, 3), (6, 3), (7, 3), (5, 4)]:
+        beaten, graphs = 0, []
+        while beaten < 40:
+            g = _connected_random_graph(rng, vertices, colors)
+            first = _first_bytes(g)
+            if min(first) < max(first) and rng.random() < 0.7:
+                start = rng.choice([v for v, b in enumerate(first, 1) if b > min(first)])
+                beaten += 1
+            else:
+                start = rng.randint(1, vertices)
+            graphs.append(_bfs_relabelled(g, start))
+        tarr, sarr = _pack(graphs)
+        mask = _canonical_mask(tarr, sarr)
+        assert np.array_equal(mask, _reference_canonical_mask(tarr, sarr))
+        assert [bool(flag) for flag in mask] == [is_canonical(g) for g in graphs]
+        lost = [_first_bytes(g)[0] > min(_first_bytes(g)) for g in graphs]
+        assert sum(lost) >= beaten and not mask[lost].any()
 
 
 @settings(max_examples=80, deadline=None)

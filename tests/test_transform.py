@@ -3,7 +3,7 @@ import random
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from looptrans.algebra import RatMatrix, SignedPerm, compose
 from looptrans.catalog import catalog
@@ -449,11 +449,14 @@ def test_substitute_builds_valid_graphs(host, sub, data):
 
 @functools.lru_cache(maxsize=None)
 def _transplantable_hosts():
-    """(g1, g2, witness) for the catalog pairs and the C=3 V=4 census pairs."""
+    """(g1, g2, witness) for the catalog pairs, the C=3 V=4 mixed census
+    pairs and the C=3 V=7 Neumann census pairs, which alone have no
+    Dirichlet loop and so can be crossed."""
     hosts = [
         (*e.graphs, e.witness) for e in (catalog("gww"), catalog("square-triangle"))
     ]
-    hosts += [(g1, g2, decide(g1, g2).witness) for g1, g2 in census_details(4, 3, "mixed")[1]]
+    pairs = census_details(4, 3, "mixed")[1] + census_details(7, 3, "neumann")[1]
+    hosts += [(g1, g2, decide(g1, g2).witness) for g1, g2 in pairs]
     return hosts
 
 
@@ -467,3 +470,55 @@ def test_substitution_witness_verifies(sub, data):
     h1, h2 = substitute(plan1), substitute(plan2)
     assert validate(h1) is None and validate(h2) is None
     assert verify_witness(h1, h2, substitution_witness(plan1, t))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_swap_loop_signs_witness_verifies(data):
+    g1, g2, t = data.draw(st.sampled_from(_transplantable_hosts()))
+    colours = data.draw(st.sets(st.integers(1, g1.colors)))
+    try:
+        h1, h2 = swap_loop_signs(g1, colours), swap_loop_signs(g2, colours)
+        moved = transport_dual_witness((g1, g2), t, colours)
+    except NoSignPartition:
+        assume(False)
+    assert verify_witness(h1, h2, moved)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_braid_witness_verifies(data):
+    g1, g2, t = data.draw(st.sampled_from(_transplantable_hosts()))
+    c = data.draw(st.integers(1, g1.colors))
+    conj = data.draw(st.integers(1, g1.colors))
+    try:
+        h1, h2 = braid(g1, c, conj), braid(g2, c, conj)
+        moved = braid_conjugator(g2, c, conj) @ t @ braid_conjugator(g1, c, conj)
+    except NotNormalizable:
+        assume(False)
+    assert verify_witness(h1, h2, moved)
+
+
+def _dirichlet_free(g):
+    return all("D" not in g.loops(c).values() for c in range(1, g.colors + 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    factor=st.builds(
+        lambda seed, vertices, colors: _all_neumann(
+            random_graph(random.Random(seed), vertices, colors)
+        ),
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 3),
+        st.integers(1, 3),
+    ),
+    data=st.data(),
+)
+def test_cross_witness_verifies(factor, data):
+    # a host pair crossed with a self-pair of a Dirichlet-free graph
+    crossable = [h for h in _transplantable_hosts() if _dirichlet_free(h[0])]
+    g1, g2, t = data.draw(st.sampled_from(crossable))
+    assert _dirichlet_free(g2)
+    moved = cross_witness(t, decide(factor, factor).witness)
+    assert verify_witness(cross(g1, factor), cross(g2, factor), moved)

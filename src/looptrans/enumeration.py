@@ -53,7 +53,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .algebra import SignedPerm
+from .algebra import SignedPerm, signed_orbits
 from .graph import (
     DIRICHLET_BYTE,
     LoopSignedGraph,
@@ -557,22 +557,6 @@ def find_pairs(
     return [(graphs[i], graphs[j]) for i, j in find_pairs_packed(packed)]
 
 
-class _UnionFind:
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
-
-
 def _pack_graphs(graphs: Sequence[LoopSignedGraph]) -> tuple[np.ndarray, np.ndarray]:
     """1-based targets (int16) and signs (int8) of equal-size graphs, (N, C, V)."""
     tarr = np.array([[p.targets for p in g.adjacency] for g in graphs], np.int16)
@@ -675,8 +659,12 @@ def _quotient(
     """Classes of the pairs under colour permutation (and braiding), each in
     input order, ordered by their first member.
 
-    The pairs are packed once; colour permutations and braids are then
-    computed on the packed rows, batch by batch, not graph by graph.
+    Every colour permutation of every pair is coded in one batch, and a
+    colour class is named by the least of its C! keys.  A braid commutes
+    with colour permutations and undoes itself (the normalizer with d = +1
+    at vertex 1 is unique), so braiding the first pair of each colour class
+    links the classes symmetrically, and the orbits of
+    :func:`~looptrans.algebra.signed_orbits` under the links are the quilts.
     """
     if not pairs:
         return []
@@ -688,32 +676,35 @@ def _quotient(
     tarr, sarr = _pack_graphs(graphs)
     if not _vertex_signs(tarr.astype(np.intp) - 1, sarr).all():
         raise ValueError("quotient needs connected graphs")
-    uf = _UnionFind(len(pairs))
     # every colour permutation of every pair in one batch, pair sides
-    # adjacent; the first pair to claim a key keeps it and later claimants
-    # join that pair, so the index holds each pair's whole colour orbit
+    # adjacent; a colour class is named by the least key of its orbit
     perms = np.array(list(permutations(range(colors))))
     shape = (len(perms) * len(tarr), colors, vertices)
     keys = _pair_keys(
         tarr[:, perms].swapaxes(0, 1).reshape(shape),
         sarr[:, perms].swapaxes(0, 1).reshape(shape),
     )
-    index: dict[bytes, int] = {}
-    for n, key in enumerate(keys):
-        i = n % len(pairs)
-        j = index.setdefault(key, i)
-        if j != i:
-            uf.union(j, i)
+    names: dict[bytes, int] = {}
+    m = len(pairs)
+    label = [names.setdefault(min(keys[i::m]), len(names)) for i in range(m)]
     if with_braids:
-        source, bt, bs = _braid_rows(tarr, sarr)
-        # a braid followed by any colour permutation finds its pair
-        for i, key in zip(source.tolist(), _pair_keys(bt, bs)):
-            j = index.get(key)
-            if j is not None:
-                uf.union(i, j)
+        # braid the first pair of each colour class; a braided key names its
+        # class through any of that class's colour-permuted keys
+        klass = dict(zip(keys, label * len(perms)))
+        first = np.unique(label, return_index=True)[1]
+        rows = (2 * first[:, None] + [0, 1]).ravel()
+        source, bt, bs = _braid_rows(tarr[rows], sarr[rows])
+        # map k sends class c to the class of its k-th kept braid, or to c
+        slot = np.arange(len(source)) - np.searchsorted(source, source)
+        links = [list(range(len(names))) for _ in range(colors * (colors - 1))]
+        for k, c, key in zip(slot.tolist(), source.tolist(), _pair_keys(bt, bs)):
+            links[k][c] = klass.get(key, c)
+        plus = [1] * len(names)
+        root = signed_orbits([(link, plus) for link in links], len(names))[0]
+        label = [root[c] for c in label]
     classes: dict[int, list[tuple[LoopSignedGraph, LoopSignedGraph]]] = {}
-    for i, pair in enumerate(pairs):
-        classes.setdefault(uf.find(i), []).append(pair)
+    for c, pair in zip(label, pairs):
+        classes.setdefault(c, []).append(pair)
     return list(classes.values())
 
 

@@ -23,7 +23,7 @@ import re
 from fractions import Fraction
 
 from .algebra import RatMatrix
-from .graph import LoopSignedGraph, validate
+from .graph import MAX_VERTICES, LoopSignedGraph, validate
 
 
 class GraphFormatError(ValueError):
@@ -58,6 +58,8 @@ def _parse_json(doc: object) -> LoopSignedGraph:
     colors = doc.get("colors")
     if type(vertices) is not int or vertices < 1:
         raise GraphFormatError("field 'vertices': expected a positive integer")
+    if vertices > MAX_VERTICES:
+        raise GraphFormatError(f"at most {MAX_VERTICES} vertices supported")
     if type(colors) is not int or colors < 1:
         raise GraphFormatError("field 'colors': expected a positive integer")
     adjacency = doc.get("adjacency")
@@ -145,7 +147,7 @@ def _parse_cycles(text: str) -> LoopSignedGraph:
     if not per_colour:
         raise GraphFormatError("no colour lines found")
     colors = max(per_colour)
-    if sorted(per_colour) != list(range(1, colors + 1)):
+    if min(per_colour) < 1 or len(per_colour) != colors:
         raise GraphFormatError(f"colour lines must cover 1..{colors}")
     vertices = 0
     for edges, loops in per_colour.values():
@@ -153,6 +155,8 @@ def _parse_cycles(text: str) -> LoopSignedGraph:
             vertices = max(vertices, i, j)
         for v in loops:
             vertices = max(vertices, v)
+    if vertices > MAX_VERTICES:
+        raise GraphFormatError(f"at most {MAX_VERTICES} vertices supported")
     try:
         g = LoopSignedGraph.build(vertices, [per_colour[c] for c in range(1, colors + 1)])
     except ValueError as exc:

@@ -70,7 +70,8 @@ class LoopSignedGraph:
                 signs[v - 1] = DIRICHLET if sign == "D" else NEUMANN
             missing = [v + 1 for v in range(vertices) if not targets[v]]
             if missing:
-                raise ValueError(f"vertices {missing} have no incidence")
+                shown = ", ".join(map(str, missing[:5])) + (", ..." if missing[5:] else "")
+                raise ValueError(f"{len(missing)} vertices have no incidence: {shown}")
             perms.append(SignedPerm(tuple(targets), tuple(signs)))
         return LoopSignedGraph(vertices, tuple(perms))
 

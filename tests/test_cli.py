@@ -1,5 +1,6 @@
 import functools
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -7,7 +8,8 @@ import pytest
 from looptrans import cli, enumeration
 from looptrans.cli import main
 from looptrans.catalog import catalog
-from looptrans.formats import dumps_json, parse_graph, parse_witness
+from looptrans.formats import GraphFormatError, dumps_json, parse_graph, parse_witness
+from looptrans.graph import LoopSignedGraph
 from looptrans.transplant import decide, verify_witness
 
 
@@ -86,6 +88,46 @@ def test_json_boolean_exit_code(doc, tmp_path, capsys):
     bad.write_text(json.dumps(doc))
     assert main(["check", str(bad), str(bad)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps({"version": 1, "vertices": 10**6, "colors": 1,
+                "adjacency": [{"color": 1, "edges": [[1, 2]], "loops": {}}]}),
+    "c1: (1,2) loops: 1000000D\n",
+])
+def test_huge_vertex_count_refused_before_build(text, tmp_path, monkeypatch, capsys):
+    def build(*args, **kwargs):
+        raise AssertionError("build called for a graph past the vertex limit")
+
+    monkeypatch.setattr(LoopSignedGraph, "build", staticmethod(build))
+    bad = tmp_path / "huge.txt"
+    bad.write_text(text)
+    assert main(["check", str(bad), str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err) < 200
+
+
+def test_huge_colour_number_refused_without_listing_colours():
+    # the colour lines are checked against their count, not against a list
+    # of every colour number up to the largest
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphFormatError, match="cover 1..1000000"):
+            parse_graph("c1000000: (1,2)\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+    for text in ("c0: (1,2)\nc1: (1,2)\n", "c1: (1,2)\nc3: (1,2)\n"):
+        with pytest.raises(GraphFormatError, match="cover"):
+            parse_graph(text)
+
+
+def test_build_names_a_few_vertices_without_incidence():
+    with pytest.raises(ValueError) as info:
+        LoopSignedGraph.build(1000, [([(1, 2)], {})])
+    assert "998 vertices have no incidence: 3, 4, 5, 6, 7, ..." in str(info.value)
+    assert len(str(info.value)) < 100
 
 
 def test_missing_file_exit_code(tmp_path, capsys):

@@ -1,7 +1,9 @@
 import hashlib
+import json
 import random
 from array import array
 from itertools import permutations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -936,6 +938,70 @@ def test_quilt_classes_reject_an_invalid_braided_row():
     g = LoopSignedGraph(3, (cycle, SignedPerm.identity(3)))
     with pytest.raises(RuntimeError):
         quilt_classes([(g, g)])
+
+
+def test_quilt_classes_braid_one_pair_per_colour_class(monkeypatch):
+    rows = []
+
+    def counted(tarr, sarr):
+        rows.append(len(tarr))
+        return _braid_rows(tarr, sarr)
+
+    monkeypatch.setattr(enumeration, "_braid_rows", counted)
+    for vertices, colour_count in ((4, 28), (6, 176)):
+        _, pairs = census_details(vertices, 3, "mixed")
+        rows.clear()
+        quilt_classes(pairs)
+        assert rows == [2 * colour_count]
+
+
+def test_quilt_classes_reject_an_invalid_pair_after_valid_ones():
+    # valid 3-vertex paths first; the invalid pair still heads its own colour
+    # class, so its braid is taken and rejected
+    path = LoopSignedGraph.build(3, [([(1, 2)], {3: "D"}), ([(2, 3)], {1: "N"})])
+    other = LoopSignedGraph.build(3, [([(2, 3)], {1: "D"}), ([(1, 2)], {3: "N"})])
+    cycle = SignedPerm((2, 3, 1), (1, 1, 1))
+    bad = LoopSignedGraph(3, (cycle, SignedPerm.identity(3)))
+    with pytest.raises(RuntimeError):
+        quilt_classes([(path, other), (other, path), (bad, bad)])
+
+
+_TRACE_TWINS = Path(__file__).parent / "data" / "v8_mixed_trace_twins.json"
+
+
+def _signed_trace(targets, signs, word):
+    """tr(A^w1 ... A^wk) by a plain numpy product of signed permutation
+    matrices, A^c[i, t - 1] = s for target t and sign s of vertex i + 1."""
+    n = len(targets[0])
+    prod = np.eye(n, dtype=np.int64)
+    for c in word:
+        m = np.zeros((n, n), np.int64)
+        m[np.arange(n), np.array(targets[c - 1]) - 1] = signs[c - 1]
+        prod = prod @ m
+    return int(np.trace(prod))
+
+
+def test_v8_mixed_trace_twins_differ_on_an_eleven_letter_word():
+    # the six V=8 mixed candidates that agree on every word up to length 10:
+    # one 11-letter word separates each, so none is a census pair
+    data = json.loads(_TRACE_TWINS.read_text())
+    assert len(data["pairs"]) == 6
+    for pair in data["pairs"]:
+        word = pair["word"]
+        assert len(word) == 11
+        traces = [
+            _signed_trace(t, s, word) for t, s in zip(pair["targets"], pair["signs"])
+        ]
+        assert traces[0] != traces[1]
+        tarr = np.array(pair["targets"], np.int8)
+        sarr = np.array(pair["signs"], np.int8)
+        h = _trace_hash(tarr, sarr, DEFAULT_MAX_WORD)
+        assert h[0] == h[1]
+        g1, g2 = (
+            LoopSignedGraph(8, tuple(map(SignedPerm, map(tuple, t), map(tuple, s))))
+            for t, s in zip(pair["targets"], pair["signs"])
+        )
+        assert transplantable(g1, g2) is False
 
 
 def test_census_details_returns_the_counted_pairs():

@@ -22,7 +22,7 @@ def test_mixed_census_eight_vertices():
     row = census(8, 3, "mixed")
     assert row.class_count == 1_076_984
     assert row.treelike_count == 439_968
-    assert row.pair_count == 13_349
+    assert row.pair_count == 13_343
     assert row.treelike_pair_count == 2_112
     assert row.class_pair_count == 2_343
     assert row.treelike_class_pair_count == 375

@@ -499,6 +499,24 @@ def test_braid_witness_verifies(data):
     assert verify_witness(h1, h2, moved)
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_colour_ops_keep_verdict_and_witness(data):
+    # the witness intertwines every colour of both sides, so it still does
+    # after a colour is copied, added or omitted
+    g1, g2, t = data.draw(st.sampled_from(_transplantable_hosts()))
+    c = data.draw(st.integers(1, g1.colors))
+    op = data.draw(st.sampled_from([
+        functools.partial(copy_colour, source=c),
+        functools.partial(add_colour, sign="D"),
+        functools.partial(add_colour, sign="N"),
+        functools.partial(omit_colour, c=c),
+    ]))
+    h1, h2 = op(g1), op(g2)
+    assert transplantable(h1, h2) is transplantable(g1, g2) is True
+    assert verify_witness(h1, h2, t)
+
+
 def _dirichlet_free(g):
     return all("D" not in g.loops(c).values() for c in range(1, g.colors + 1))
 

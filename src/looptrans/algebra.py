@@ -68,20 +68,6 @@ class SignedPerm:
         """Inverse of :meth:`encode`."""
         return SignedPerm(tuple(abs(x) for x in code), tuple(1 if x > 0 else -1 for x in code))
 
-    def as_action(self) -> tuple[int, ...]:
-        """The induced permutation of the 2n signed basis vectors.
-
-        Point ``2*(i-1)`` stands for +e_i and ``2*(i-1)+1`` for -e_i; the map
-        is a plain permutation of ``0 .. 2n-1``, which is how the group
-        generated by adjacency matrices acts on a double cover.
-        """
-        out = [0] * (2 * self.size)
-        for i, (t, s) in enumerate(zip(self.targets, self.signs)):
-            flip = 1 if s < 0 else 0
-            out[2 * i] = 2 * (t - 1) + flip
-            out[2 * i + 1] = 2 * (t - 1) + (1 - flip)
-        return tuple(out)
-
     def __neg__(self) -> "SignedPerm":
         return SignedPerm(self.targets, tuple(-s for s in self.signs))
 

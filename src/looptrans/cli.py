@@ -64,6 +64,38 @@ def _load_graph(path: str) -> LoopSignedGraph:
         raise InputError(f"{path}: {exc}") from exc
 
 
+def _load_plan(path: str) -> SubstitutionPlan:
+    """A substitution plan file: the host and substituent graph files, and
+    the assignment as an object of objects of integer arrays."""
+    doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise InputError(f"{path}: top level must be a JSON object")
+    for field in ("host", "substituent"):
+        if not isinstance(doc.get(field), str):
+            raise InputError(f"{path}: field {field!r}: expected a file name")
+    assignment = doc.get("assignment")
+    # type() rather than isinstance(): a JSON true is a bool, an int subclass
+    if not isinstance(assignment, dict) or not all(
+        isinstance(per_host, dict)
+        and all(
+            isinstance(vs, list) and all(type(v) is int for v in vs)
+            for vs in per_host.values()
+        )
+        for per_host in assignment.values()
+    ):
+        raise InputError(
+            f"{path}: field 'assignment': expected an object of objects of integer arrays"
+        )
+    return SubstitutionPlan.create(
+        _load_graph(doc["host"]),
+        _load_graph(doc["substituent"]),
+        {
+            int(chi): {int(c): vs for c, vs in per_host.items()}
+            for chi, per_host in assignment.items()
+        },
+    )
+
+
 def _emit_graph(g: LoopSignedGraph, fmt: str = "json") -> None:
     sys.stdout.write(dumps_json(g) if fmt == "json" else dumps_cycles(g))
 
@@ -163,15 +195,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 def _cmd_transform(args: argparse.Namespace) -> int:
     op = args.operation
     if op == "substitute":
-        plan_doc = json.loads(Path(args.plan).read_text())
-        host = _load_graph(plan_doc["host"])
-        substituent = _load_graph(plan_doc["substituent"])
-        assignment = {
-            int(chi): {int(c): vs for c, vs in per_host.items()}
-            for chi, per_host in plan_doc["assignment"].items()
-        }
-        plan = SubstitutionPlan.create(host, substituent, assignment)
-        _emit_graph(substitute(plan), args.format)
+        _emit_graph(substitute(_load_plan(args.plan)), args.format)
         return 0
     g = _load_graph(args.graph)
     if op == "dual":

@@ -74,6 +74,8 @@ _CHUNK_LEAVES = 120_000
 # packed rows hold 1-based vertex numbers as int8
 _MAX_PACKED_VERTICES = 127
 _SHARD_SLOT = 8
+# the colour quotient codes C! x 2 rows per pair in one batch
+_MAX_QUOTIENT_ROWS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -425,13 +427,18 @@ def _treelike_mask(tarr: np.ndarray) -> np.ndarray:
 
 @dataclass
 class PackedClasses:
-    """Canonical classes as packed arrays plus their trace-hash fingerprints."""
+    """Canonical classes as packed arrays plus their trace-hash fingerprints.
+
+    ``leaves`` counts the labelings that :func:`_generate_leaves` built for
+    these classes; it is 0 for classes packed from graphs.
+    """
 
     vertices: int
     colors: int
     targets: np.ndarray  # (N, C, V), 1-based; int8 from the generator
     signs: np.ndarray  # (N, C, V) int8
     trace_hash: np.ndarray  # (N,) uint64
+    leaves: int = 0
 
     def __len__(self) -> int:
         return len(self.targets)
@@ -447,6 +454,21 @@ class PackedClasses:
         return _treelike_mask(self.targets)
 
 
+def _join_classes(
+    vertices: int, colors: int, parts: Sequence[PackedClasses]
+) -> PackedClasses:
+    """The classes of any number of records, in order, with their leaves summed."""
+    empty = np.zeros((0, colors, vertices), np.int8)
+    return PackedClasses(
+        vertices,
+        colors,
+        np.concatenate([empty, *(p.targets for p in parts)]),
+        np.concatenate([empty, *(p.signs for p in parts)]),
+        np.concatenate([np.zeros(0, np.uint64), *(p.trace_hash for p in parts)]),
+        sum(p.leaves for p in parts),
+    )
+
+
 def enumerate_packed(
     vertices: int,
     colors: int,
@@ -455,48 +477,32 @@ def enumerate_packed(
     shard_index: int = 0,
     progress: Callable[[int, int], None] | None = None,
 ) -> PackedClasses:
-    """All canonical connected classes for the regime, as packed arrays.
+    """All canonical connected classes for the regime, as packed arrays, with
+    the number of leaves generated for them.
 
     Each block of leaves from :func:`_generate_leaves` is filtered and hashed
     as it is finished; ``progress`` receives the running leaf and class
-    totals after each block.
+    totals after each block.  Shard ``shard_index`` of ``shard_count`` holds
+    the classes of its share of the leaves, and the shards' joined records
+    hold the whole row's classes and leaves.
     """
     _check_size(vertices, colors)
-    leaves = 0
-    survivors_t: list[np.ndarray] = []
-    survivors_s: list[np.ndarray] = []
-    hashes: list[np.ndarray] = []
+    if not 0 <= shard_index < shard_count:
+        raise ValueError(
+            "need 0 <= shard_index < shard_count, "
+            f"got shard_index={shard_index}, shard_count={shard_count}"
+        )
+    blocks: list[PackedClasses] = []
     for tarr, sarr in _generate_leaves(
         vertices, colors, _loop_signs(regime), shard_count, shard_index
     ):
-        leaves += len(tarr)
         mask = _canonical_mask(tarr, sarr)
         tarr, sarr = tarr[mask], sarr[mask]
-        survivors_t.append(tarr)
-        survivors_s.append(sarr)
-        hashes.append(_trace_hash(tarr, sarr, DEFAULT_MAX_WORD))
+        hashes = _trace_hash(tarr, sarr, DEFAULT_MAX_WORD)
+        blocks.append(PackedClasses(vertices, colors, tarr, sarr, hashes, len(mask)))
         if progress is not None:
-            progress(leaves, sum(len(t) for t in survivors_t))
-    if survivors_t:
-        targets = np.concatenate(survivors_t)
-        signs_arr = np.concatenate(survivors_s)
-        hash_arr = np.concatenate(hashes)
-    else:
-        targets = np.zeros((0, colors, vertices), np.int8)
-        signs_arr = np.zeros((0, colors, vertices), np.int8)
-        hash_arr = np.zeros(0, np.uint64)
-    return PackedClasses(vertices, colors, targets, signs_arr, hash_arr)
-
-
-def _merge_shards(parts: Sequence[PackedClasses]) -> PackedClasses:
-    first = parts[0]
-    return PackedClasses(
-        first.vertices,
-        first.colors,
-        np.concatenate([p.targets for p in parts]),
-        np.concatenate([p.signs for p in parts]),
-        np.concatenate([p.trace_hash for p in parts]),
-    )
+            progress(sum(b.leaves for b in blocks), sum(map(len, blocks)))
+    return _join_classes(vertices, colors, blocks)
 
 
 def enumerate_classes(
@@ -673,6 +679,12 @@ def _quotient(
     vertices, colors = graphs[0].vertices, graphs[0].colors
     if any(g.vertices != vertices or g.colors != colors for g in graphs):
         raise ValueError("quotient needs graphs of equal vertex and colour counts")
+    batch = math.factorial(colors) * len(graphs)
+    if batch > _MAX_QUOTIENT_ROWS:
+        raise ValueError(
+            f"the colour quotient of {len(pairs)} pairs in {colors} colours would "
+            f"code {batch} rows, more than {_MAX_QUOTIENT_ROWS}"
+        )
     tarr, sarr = _pack_graphs(graphs)
     if not _vertex_signs(tarr.astype(np.intp) - 1, sarr).all():
         raise ValueError("quotient needs connected graphs")
@@ -760,8 +772,10 @@ def census_details(
 
     A homogeneous regime gives every loop the same sign, so its classes are
     those of the signless edge-coloured graphs.  ``threads`` must be at least
-    1 and is capped at the CPU count; with several threads ``progress``
-    receives running totals as each shard's result arrives.
+    1 and is capped at the CPU count.  Several threads map
+    :func:`enumerate_packed` over 4 shards per thread in a process pool, and
+    ``progress`` receives the shards' summed leaf and class totals as each
+    shard's record arrives.
     """
     if regime not in ("mixed", "dirichlet", "neumann"):
         raise ValueError("census regime must be mixed, dirichlet or neumann")
@@ -773,22 +787,14 @@ def census_details(
         from concurrent.futures import ProcessPoolExecutor
 
         shard_count = threads * 4
+        shard = functools.partial(enumerate_packed, vertices, colors, regime, shard_count)
         parts: list[PackedClasses] = []
-        leaves = classes = 0
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            for shard_leaves, part in pool.map(
-                _shard_worker,
-                [
-                    (vertices, colors, regime, shard_count, i)
-                    for i in range(shard_count)
-                ],
-            ):
+            for part in pool.map(shard, range(shard_count)):
                 parts.append(part)
-                leaves += shard_leaves
-                classes += len(part)
                 if progress is not None:
-                    progress(leaves, classes)
-        packed = _merge_shards(parts)
+                    progress(sum(p.leaves for p in parts), sum(map(len, parts)))
+        packed = _join_classes(vertices, colors, parts)
     else:
         packed = enumerate_packed(vertices, colors, regime, progress=progress)
     return _census_from_packed(packed, regime, quilts)
@@ -806,26 +812,6 @@ def census(
     return census_details(
         vertices, colors, regime, quilts=quilts, threads=threads, progress=progress
     )[0]
-
-
-def _shard_worker(args: tuple[int, int, str, int, int]) -> tuple[int, PackedClasses]:
-    """One shard's leaf count and classes."""
-    vertices, colors, regime, shard_count, shard_index = args
-    leaves = 0
-
-    def record(shard_leaves: int, _classes: int) -> None:
-        nonlocal leaves
-        leaves = shard_leaves
-
-    packed = enumerate_packed(
-        vertices,
-        colors,
-        regime,
-        shard_count=shard_count,
-        shard_index=shard_index,
-        progress=record,
-    )
-    return leaves, packed
 
 
 def _poly_mul(p: list, q: list) -> list:

@@ -18,6 +18,7 @@ from looptrans.algebra import (
     signed_orbits,
     trace,
 )
+from looptrans.graph import action_on_double_cover
 
 from conftest import random_signed_perm
 
@@ -154,12 +155,12 @@ def test_conjugate_by_diagonal_preserves_trace():
         assert trace(conjugate_by_diagonal(p, signs)) == trace(p)
 
 
-def test_as_action_is_faithful():
+def test_action_on_double_cover_is_faithful():
     rng = random.Random(12)
     seen = {}
     for _ in range(200):
         p = random_signed_perm(rng, 4)
-        key = p.as_action()
+        key = action_on_double_cover(p)
         if key in seen:
             assert seen[key] == p
         seen[key] = p

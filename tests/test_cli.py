@@ -203,6 +203,15 @@ def test_census_and_enumerate_reject_bad_sizes(flag, value, tmp_path, capsys):
     assert not outdir.exists()
 
 
+def test_census_quotient_past_the_row_cap_exit_code(monkeypatch, capsys):
+    # V=4 C=3 mixed has 118 pairs, 1,416 quotient rows
+    monkeypatch.setattr(enumeration, "_MAX_QUOTIENT_ROWS", 1000)
+    assert main(["census", "--vertices", "4", "--colors", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "1416 rows" in err
+
+
 def test_invariants_output(gww_files, capsys):
     a, _ = gww_files
     assert main(["invariants", str(a), "--max-word", "2", "--seed", "5"]) == 0
@@ -287,7 +296,8 @@ def test_transform_cross(tmp_path, capsys):
     assert crossed.vertices == 2 and crossed.edges(1) == [(1, 2)]
 
 
-def test_transform_substitute_plan(tmp_path, capsys):
+@pytest.fixture()
+def substitution_files(tmp_path):
     host = tmp_path / "host.json"
     host.write_text(
         '{"version":1,"vertices":2,"colors":2,"adjacency":['
@@ -301,6 +311,11 @@ def test_transform_substitute_plan(tmp_path, capsys):
         '{"color":2,"edges":[],"loops":{"1":"D","2":"N"}},'
         '{"color":3,"edges":[[1,2]],"loops":{}}]}'
     )
+    return host, sub
+
+
+def test_transform_substitute_plan(substitution_files, tmp_path, capsys):
+    host, sub = substitution_files
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps({
         "host": str(host),
@@ -311,6 +326,41 @@ def test_transform_substitute_plan(tmp_path, capsys):
     result = parse_graph(capsys.readouterr().out)
     assert result.vertices == 4
     assert result.loops(2) == {1: "D", 2: "D", 3: "D", 4: "N"}
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        "array",
+        "numeric host",
+        "no substituent",
+        "array assignment",
+        "array per host colour",
+        "number for vertices",
+        "boolean vertex",
+        "string vertex",
+    ],
+)
+def test_transform_substitute_malformed_plan_exit_code(
+    shape, substitution_files, tmp_path, capsys
+):
+    host, sub = map(str, substitution_files)
+    doc = {
+        "array": [host, sub, {}],
+        "numeric host": {"host": 5, "substituent": sub, "assignment": {}},
+        "no substituent": {"host": host, "assignment": {}},
+        "array assignment": {"host": host, "substituent": sub, "assignment": [[1]]},
+        "array per host colour": {"host": host, "substituent": sub, "assignment": {"1": [1]}},
+        "number for vertices": {"host": host, "substituent": sub, "assignment": {"1": {"1": 5}}},
+        "boolean vertex": {"host": host, "substituent": sub, "assignment": {"1": {"1": [True]}}},
+        "string vertex": {"host": host, "substituent": sub, "assignment": {"1": {"1": ["1"]}}},
+    }[shape]
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(doc))
+    assert main(["transform", "substitute", str(plan)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_transform_braid_not_normalizable(tmp_path, capsys):

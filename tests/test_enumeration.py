@@ -30,7 +30,7 @@ from looptrans.enumeration import (
     _canonical_mask,
     _generate_leaves,
     _loop_signs,
-    _merge_shards,
+    _join_classes,
     _pack_graphs,
     _trace_hash,
     canonical_codes,
@@ -125,35 +125,60 @@ def test_shard_independence():
         enumerate_packed(4, 3, "mixed", shard_count=3, shard_index=i)
         for i in range(3)
     ]
-    merged = _merge_shards(parts)
+    merged = _join_classes(4, 3, parts)
     assert len(merged) == len(whole)
+    assert merged.leaves == whole.leaves
     whole_codes = {canonical_form(whole.graph(i)).code for i in range(len(whole))}
     merged_codes = {canonical_form(merged.graph(i)).code for i in range(len(merged))}
     assert whole_codes == merged_codes
 
 
+def test_join_classes_sums_leaves_and_takes_no_records():
+    none = _join_classes(4, 3, [])
+    assert len(none) == none.leaves == 0
+    assert none.targets.shape == none.signs.shape == (0, 3, 4)
+    assert none.trace_hash.dtype == np.uint64
+    whole = enumerate_packed(4, 3, "mixed")
+    assert whole.leaves == sum(len(t) for t, _ in _generate_leaves(4, 3, (1, -1)))
+    joined = _join_classes(4, 3, [whole, none, whole])
+    assert len(joined) == 2 * len(whole) and joined.leaves == 2 * whole.leaves
+    assert np.array_equal(joined.trace_hash[len(whole):], whole.trace_hash)
+
+
+@pytest.mark.parametrize("shard_count,shard_index", [(3, 5), (3, -1), (2, 2), (1, 1), (0, 0)])
+def test_enumerate_packed_rejects_bad_shards(shard_count, shard_index, monkeypatch):
+    def generate(*args):
+        raise AssertionError("leaves generated for an invalid shard")
+
+    monkeypatch.setattr(enumeration, "_generate_leaves", generate)
+    with pytest.raises(ValueError, match="shard_index"):
+        enumerate_packed(4, 3, "mixed", shard_count=shard_count, shard_index=shard_index)
+
+
 def _dfs_leaves(vertices, colors, signs, emit):
     """Reference oracle: the recursive generator the frontier replaced, less
-    its sharding; ``emit(tgt, sgn)`` sees each leaf's 1-based lists."""
+    its sharding.  The leaf is one flat int8 row, its 1-based targets then
+    its signs, colour by colour, set and cleared in place; ``emit(row)``
+    sees each leaf."""
     V, C = vertices, colors
-    tgt = [[0] * (V + 1) for _ in range(C + 1)]
-    sgn = [[0] * (V + 1) for _ in range(C + 1)]
+    cv = C * V
+    row = array("b", bytes(2 * cv))
     f1 = [0]
 
     def rec(v, c, k):
         if c > C:
             if v == V:
-                emit(tgt, sgn)
+                emit(row)
                 return
             if k <= v:
                 return
             rec(v + 1, 1, k)
             return
-        tc = tgt[c]
-        if tc[v]:
+        # row[at + u] is the colour-c target of vertex u, row[cv + at + u] its sign
+        at = (c - 1) * V - 1
+        if row[at + v]:
             rec(v, c + 1, k)
             return
-        sc = sgn[c]
         for s in signs:
             if c == 1:
                 cls = 1 if s > 0 else 2
@@ -161,32 +186,22 @@ def _dfs_leaves(vertices, colors, signs, emit):
                     f1[0] = cls
                 elif cls < f1[0]:
                     continue
-            tc[v] = v
-            sc[v] = s
+            row[at + v] = v
+            row[cv + at + v] = s
             rec(v, c + 1, k)
-            tc[v] = 0
-            sc[v] = 0
+            row[at + v] = row[cv + at + v] = 0
         if c == 1 and v > 1 and f1[0] > 0:
             return
-        for w in range(v + 1, k + 1):
-            if tc[w]:
+        for w in range(v + 1, min(k + 1, V) + 1):
+            if row[at + w]:
                 continue
             if c == 1 and v == 1:
                 f1[0] = 0
-            tc[v], tc[w] = w, v
-            sc[v] = sc[w] = 1
-            rec(v, c + 1, k)
-            tc[v] = tc[w] = 0
-            sc[v] = sc[w] = 0
-        if k < V:
-            w = k + 1
-            if c == 1 and v == 1:
-                f1[0] = 0
-            tc[v], tc[w] = w, v
-            sc[v] = sc[w] = 1
-            rec(v, c + 1, k + 1)
-            tc[v] = tc[w] = 0
-            sc[v] = sc[w] = 0
+            row[at + v], row[at + w] = w, v
+            row[cv + at + v] = row[cv + at + w] = 1
+            rec(v, c + 1, max(k, w))
+            row[at + v] = row[at + w] = 0
+            row[cv + at + v] = row[cv + at + w] = 0
 
     rec(1, 1, 1)
 
@@ -198,12 +213,9 @@ def _dfs_digest(vertices, colors, signs):
     buf = array("b")
     count = 0
 
-    def emit(tgt, sgn):
+    def emit(row):
         nonlocal buf, count
-        for c in range(1, colors + 1):
-            buf.extend(tgt[c][1:])
-        for c in range(1, colors + 1):
-            buf.extend(sgn[c][1:])
+        buf.extend(row)
         count += 1
         if count % 100_000 == 0:
             digest.update(buf.tobytes())
@@ -964,6 +976,23 @@ def test_quilt_classes_reject_an_invalid_pair_after_valid_ones():
     bad = LoopSignedGraph(3, (cycle, SignedPerm.identity(3)))
     with pytest.raises(RuntimeError):
         quilt_classes([(path, other), (other, path), (bad, bad)])
+
+
+def test_quotients_refuse_a_batch_past_the_row_cap(monkeypatch):
+    # 118 pairs in 3 colours code 3! x 2 x 118 = 1,416 rows
+    _, pairs = census_details(4, 3, "mixed")
+    expected = len(colour_classes(pairs)), len(quilt_classes(pairs))
+    monkeypatch.setattr(enumeration, "_MAX_QUOTIENT_ROWS", 1416)
+    assert (len(colour_classes(pairs)), len(quilt_classes(pairs))) == expected
+
+    def pack(graphs):
+        raise AssertionError("graphs packed for a batch past the cap")
+
+    monkeypatch.setattr(enumeration, "_pack_graphs", pack)
+    monkeypatch.setattr(enumeration, "_MAX_QUOTIENT_ROWS", 1415)
+    for quotient in (colour_classes, quilt_classes):
+        with pytest.raises(ValueError, match="1416 rows"):
+            quotient(pairs)
 
 
 _TRACE_TWINS = Path(__file__).parent / "data" / "v8_mixed_trace_twins.json"

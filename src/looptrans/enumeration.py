@@ -28,9 +28,9 @@ each finished block of leaves, with 1-D gathers on the flat int8 block at
 start vertex; the filter runs each start vertex only on the rows that no
 earlier one rejected and stops each row at the first byte where the two
 codes differ, and :func:`canonical_codes` takes the minimum over all start
-vertices, so the colour and quilt quotients code whole batches of pairs at
-once.  :func:`class_counts` counts the classes by Burnside's lemma without
-the generator, as an independent check.
+vertices, so a quotient codes every colour permutation of the pairs it reads
+in one batch.  :func:`class_counts` counts the classes by Burnside's lemma
+without the generator, as an independent check.
 
 The fingerprint evaluates one colour word per trace class.  Every colour
 matrix A^c is a symmetric signed permutation, so A^c A^c = I,
@@ -74,7 +74,7 @@ _CHUNK_LEAVES = 120_000
 # packed rows hold 1-based vertex numbers as int8
 _MAX_PACKED_VERTICES = 127
 _SHARD_SLOT = 8
-# the colour quotient codes C! x 2 rows per pair in one batch
+# the colour keys of a batch of pairs are C! x 2 rows per pair
 _MAX_QUOTIENT_ROWS = 1 << 24
 
 
@@ -658,23 +658,11 @@ def _braid_rows(
     return source, bt + 1, bs
 
 
-def _quotient(
+def _colour_keys(
     pairs: Sequence[tuple[LoopSignedGraph, LoopSignedGraph]],
-    with_braids: bool,
-) -> list[list[tuple[LoopSignedGraph, LoopSignedGraph]]]:
-    """Classes of the pairs under colour permutation (and braiding), each in
-    input order, ordered by their first member.
-
-    Every colour permutation of every pair is coded in one batch, and a
-    colour class is named by the least of its C! keys.  A braid commutes
-    with colour permutations and undoes itself (the normalizer with d = +1
-    at vertex 1 is unique), so braiding the first pair of each colour class
-    links the classes symmetrically, and the orbits of
-    :func:`~looptrans.algebra.signed_orbits` under the links are the quilts.
-    """
-    if not pairs:
-        return []
-    # rows 2i and 2i + 1 of the packed arrays are the two sides of pair i
+) -> tuple[np.ndarray, np.ndarray, list[list[bytes]]]:
+    """Packed rows of pairs of connected graphs (rows 2i and 2i + 1 are pair
+    i) and each pair's C! keys, one per colour permutation, coded in one batch."""
     graphs = [g for pair in pairs for g in pair]
     vertices, colors = graphs[0].vertices, graphs[0].colors
     if any(g.vertices != vertices or g.colors != colors for g in graphs):
@@ -688,50 +676,62 @@ def _quotient(
     tarr, sarr = _pack_graphs(graphs)
     if not _vertex_signs(tarr.astype(np.intp) - 1, sarr).all():
         raise ValueError("quotient needs connected graphs")
-    # every colour permutation of every pair in one batch, pair sides
-    # adjacent; a colour class is named by the least key of its orbit
     perms = np.array(list(permutations(range(colors))))
-    shape = (len(perms) * len(tarr), colors, vertices)
     keys = _pair_keys(
-        tarr[:, perms].swapaxes(0, 1).reshape(shape),
-        sarr[:, perms].swapaxes(0, 1).reshape(shape),
+        tarr[:, perms].swapaxes(0, 1).reshape(-1, colors, vertices),
+        sarr[:, perms].swapaxes(0, 1).reshape(-1, colors, vertices),
     )
-    names: dict[bytes, int] = {}
-    m = len(pairs)
-    label = [names.setdefault(min(keys[i::m]), len(names)) for i in range(m)]
-    if with_braids:
-        # braid the first pair of each colour class; a braided key names its
-        # class through any of that class's colour-permuted keys
-        klass = dict(zip(keys, label * len(perms)))
-        first = np.unique(label, return_index=True)[1]
-        rows = (2 * first[:, None] + [0, 1]).ravel()
-        source, bt, bs = _braid_rows(tarr[rows], sarr[rows])
-        # map k sends class c to the class of its k-th kept braid, or to c
-        slot = np.arange(len(source)) - np.searchsorted(source, source)
-        links = [list(range(len(names))) for _ in range(colors * (colors - 1))]
-        for k, c, key in zip(slot.tolist(), source.tolist(), _pair_keys(bt, bs)):
-            links[k][c] = klass.get(key, c)
-        plus = [1] * len(names)
-        root = signed_orbits([(link, plus) for link in links], len(names))[0]
-        label = [root[c] for c in label]
-    classes: dict[int, list[tuple[LoopSignedGraph, LoopSignedGraph]]] = {}
-    for c, pair in zip(label, pairs):
-        classes.setdefault(c, []).append(pair)
-    return list(classes.values())
+    return tarr, sarr, [keys[i :: len(pairs)] for i in range(len(pairs))]
 
 
 def colour_classes(
     pairs: Sequence[tuple[LoopSignedGraph, LoopSignedGraph]],
 ) -> list[list[tuple[LoopSignedGraph, LoopSignedGraph]]]:
-    """Quotient of the pairs by simultaneous permutations of edge colours."""
-    return _quotient(pairs, with_braids=False)
+    """Quotient of the pairs by simultaneous permutations of edge colours,
+    each class in input order, ordered by their first member.  A class is
+    named by the least of its C! keys."""
+    if not pairs:
+        return []
+    classes: dict[bytes, list[tuple[LoopSignedGraph, LoopSignedGraph]]] = {}
+    for pair, keys in zip(pairs, _colour_keys(pairs)[2]):
+        classes.setdefault(min(keys), []).append(pair)
+    return list(classes.values())
 
 
 def quilt_classes(
-    pairs: Sequence[tuple[LoopSignedGraph, LoopSignedGraph]],
+    classes: Sequence[Sequence[tuple[LoopSignedGraph, LoopSignedGraph]]],
 ) -> list[list[tuple[LoopSignedGraph, LoopSignedGraph]]]:
-    """Quotient by the equivalence generated by braiding and colour permutation."""
-    return _quotient(pairs, with_braids=True)
+    """The colour classes that :func:`colour_classes` returns, joined under
+    braiding: each quilt lists its classes' pairs class by class, and the
+    quilts come in the order of their first class.
+
+    Only the first pair of each class is coded and braided.  A braid
+    commutes with colour permutations and undoes itself (the normalizer with
+    d = +1 at vertex 1 is unique), so braiding the first pair of each colour
+    class links the classes symmetrically, and the orbits of
+    :func:`~looptrans.algebra.signed_orbits` under the links are the quilts.
+    Raises ``ValueError`` when two of the classes are one colour class.
+    """
+    if not classes:
+        return []
+    tarr, sarr, keys = _colour_keys([cls[0] for cls in classes])
+    # a braided key names its class through any of its first pair's keys;
+    # two classes with one orbit of keys leave the earlier one unnamed
+    klass = {key: c for c, own in enumerate(keys) for key in own}
+    if len(set(klass.values())) < len(classes):
+        raise ValueError("two of the classes are one colour class")
+    source, bt, bs = _braid_rows(tarr, sarr)
+    n, colors = len(classes), tarr.shape[1]
+    # map k sends class c to the class of its k-th kept braid, or to c
+    slot = np.arange(len(source)) - np.searchsorted(source, source)
+    links = [list(range(n)) for _ in range(colors * (colors - 1))]
+    for k, c, key in zip(slot.tolist(), source.tolist(), _pair_keys(bt, bs)):
+        links[k][c] = klass.get(key, c)
+    root = signed_orbits([(link, [1] * n) for link in links], n)[0]
+    quilts: dict[int, list[tuple[LoopSignedGraph, LoopSignedGraph]]] = {}
+    for r, cls in zip(root, classes):
+        quilts.setdefault(r, []).extend(cls)
+    return list(quilts.values())
 
 
 def _census_from_packed(
@@ -744,7 +744,7 @@ def _census_from_packed(
     # colour permutation keeps a graph treelike, so each class holds only
     # tree pairs or none, and its first pair tells which
     tree_classes = [cls for cls in classes if all(map(is_treelike, cls[0]))]
-    quilt_count = len(quilt_classes(graph_pairs)) if quilts else None
+    quilt_count = len(quilt_classes(classes)) if quilts else None
     row = CensusRow(
         vertices=packed.vertices,
         colors=packed.colors,

@@ -58,8 +58,6 @@ def _parse_json(doc: object) -> LoopSignedGraph:
     colors = doc.get("colors")
     if type(vertices) is not int or vertices < 1:
         raise GraphFormatError("field 'vertices': expected a positive integer")
-    if vertices > MAX_VERTICES:
-        raise GraphFormatError(f"at most {MAX_VERTICES} vertices supported")
     if type(colors) is not int or colors < 1:
         raise GraphFormatError("field 'colors': expected a positive integer")
     adjacency = doc.get("adjacency")
@@ -92,8 +90,17 @@ def _parse_json(doc: object) -> LoopSignedGraph:
                 raise GraphFormatError(f"colour {c}: loop sign {sign!r} must be 'D' or 'N'")
             loops[int(key)] = sign
         specs[c] = (edges, loops)
+    return _build(vertices, [specs[c] for c in range(1, colors + 1)])
+
+
+def _build(
+    vertices: int, specs: list[tuple[list[tuple[int, int]], dict[int, str]]]
+) -> LoopSignedGraph:
+    """The graph, refused past ``MAX_VERTICES`` before it is built, and validated."""
+    if vertices > MAX_VERTICES:
+        raise GraphFormatError(f"at most {MAX_VERTICES} vertices supported")
     try:
-        g = LoopSignedGraph.build(vertices, [specs[c] for c in range(1, colors + 1)])
+        g = LoopSignedGraph.build(vertices, specs)
     except ValueError as exc:
         raise GraphFormatError(str(exc)) from exc
     err = validate(g)
@@ -155,16 +162,7 @@ def _parse_cycles(text: str) -> LoopSignedGraph:
             vertices = max(vertices, i, j)
         for v in loops:
             vertices = max(vertices, v)
-    if vertices > MAX_VERTICES:
-        raise GraphFormatError(f"at most {MAX_VERTICES} vertices supported")
-    try:
-        g = LoopSignedGraph.build(vertices, [per_colour[c] for c in range(1, colors + 1)])
-    except ValueError as exc:
-        raise GraphFormatError(str(exc)) from exc
-    err = validate(g)
-    if err:
-        raise GraphFormatError(err)
-    return g
+    return _build(vertices, [per_colour[c] for c in range(1, colors + 1)])
 
 
 def parse_graph(text: str) -> LoopSignedGraph:

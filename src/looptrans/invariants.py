@@ -183,9 +183,9 @@ def spectral_report(g: LoopSignedGraph) -> SpectralReport:
         for c2 in range(1, g.colors + 1):
             if c1 == c2:
                 continue
-            prod = compose(g.color(c1), g.color(c2))
-            t2 = trace(prod)
-            t4 = trace(compose(prod, prod))
+            # both words multiply out to A^{c1} A^{c2} and its square
+            t2 = word_trace(g, (c2, c1))
+            t4 = word_trace(g, (c2, c1, c2, c1))
             corners.append(((c1, c2), (t2, t4)))
     loop_signs = {
         s

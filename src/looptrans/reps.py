@@ -82,9 +82,10 @@ class GroupClosure:
         conjugation image list per generator.  Computed on the first call and
         cached on the closure.
         """
-        cached = self.__dict__.get("_classes")
-        if cached is not None:
-            return cached
+        return self._classes
+
+    @cached_property
+    def _classes(self) -> tuple[tuple[int, ...], ...]:
         codes = self.codes
         plus = [1] * self.order
         maps = []
@@ -96,9 +97,7 @@ class GroupClosure:
         classes: dict[int, list[int]] = {}
         for x, r in enumerate(root):
             classes.setdefault(r, []).append(x)
-        result = tuple(map(tuple, classes.values()))
-        object.__setattr__(self, "_classes", result)
-        return result
+        return tuple(map(tuple, classes.values()))
 
 
 def closure(

@@ -32,6 +32,7 @@ from looptrans.enumeration import (
     _loop_signs,
     _join_classes,
     _pack_graphs,
+    _pair_keys,
     _trace_hash,
     canonical_codes,
     census,
@@ -729,7 +730,7 @@ def test_colour_classes_on_two_vertex_pairs():
     classes = colour_classes(pairs)
     assert len(classes) == 3
     assert sorted(len(c) for c in classes) == [3, 3, 3]
-    assert len(quilt_classes(pairs)) <= 3
+    assert len(quilt_classes(classes)) <= 3
 
 
 def _scalar_quotient(pairs, with_braids):
@@ -821,7 +822,7 @@ def test_quotients_match_scalar_oracle(vertices, colours, regime, pair_count, qu
     counts = []
     for inputs in (pairs, _shuffle_colours(pairs, random.Random(vertices))):
         colour = colour_classes(inputs)
-        quilt = quilt_classes(inputs)
+        quilt = quilt_classes(colour)
         assert {id(p) for cls in colour for p in cls} == {id(p) for p in inputs}
         assert _index_partition(inputs, colour) == _scalar_quotient(inputs, False)
         assert _index_partition(inputs, quilt) == _scalar_quotient(inputs, True)
@@ -915,7 +916,7 @@ def test_braid_rows_without_braids():
         source, bt, bs = _braid_rows(tarr, tarr.astype(np.int8))
         assert source.shape == (0,) and bt.shape == bs.shape == (0, colors, 4)
     pairs = [(edge, edge)]
-    assert colour_classes(pairs) == quilt_classes(pairs) == [pairs]
+    assert colour_classes(pairs) == quilt_classes([pairs]) == [pairs]
 
 
 @pytest.mark.parametrize("vertices,colour_count,quilt_count", [(4, 28, 17), (6, 176, 78)])
@@ -925,8 +926,9 @@ def test_quotients_do_not_depend_on_colour_numbering(vertices, colour_count, qui
     _, pairs = census_details(vertices, 3, "mixed")
     for seed in (None, 0, 1, 2):
         inputs = pairs if seed is None else _shuffle_colours(pairs, random.Random(seed))
-        assert len(colour_classes(inputs)) == colour_count
-        assert len(quilt_classes(inputs)) == quilt_count
+        classes = colour_classes(inputs)
+        assert len(classes) == colour_count
+        assert len(quilt_classes(classes)) == quilt_count
 
 
 def test_quotient_rejects_disconnected_and_mixed_size_pairs():
@@ -937,10 +939,12 @@ def test_quotient_rejects_disconnected_and_mixed_size_pairs():
         ([(2, 3)], {1: "N"}),
         ([(1, 2)], {3: "N"}),
     ])
+    # quilt_classes gets one-pair classes, so it checks the pairs itself
     for pairs in ([(edge, edge), (loops, edge)], [(edge, path)]):
-        for quotient in (colour_classes, quilt_classes):
-            with pytest.raises(ValueError):
-                quotient(pairs)
+        with pytest.raises(ValueError):
+            colour_classes(pairs)
+        with pytest.raises(ValueError):
+            quilt_classes([[pair] for pair in pairs])
 
 
 def test_quilt_classes_reject_an_invalid_braided_row():
@@ -949,7 +953,7 @@ def test_quilt_classes_reject_an_invalid_braided_row():
     cycle = SignedPerm((2, 3, 1), (1, 1, 1))
     g = LoopSignedGraph(3, (cycle, SignedPerm.identity(3)))
     with pytest.raises(RuntimeError):
-        quilt_classes([(g, g)])
+        quilt_classes(colour_classes([(g, g)]))
 
 
 def test_quilt_classes_braid_one_pair_per_colour_class(monkeypatch):
@@ -962,8 +966,9 @@ def test_quilt_classes_braid_one_pair_per_colour_class(monkeypatch):
     monkeypatch.setattr(enumeration, "_braid_rows", counted)
     for vertices, colour_count in ((4, 28), (6, 176)):
         _, pairs = census_details(vertices, 3, "mixed")
+        classes = colour_classes(pairs)
         rows.clear()
-        quilt_classes(pairs)
+        quilt_classes(classes)
         assert rows == [2 * colour_count]
 
 
@@ -975,24 +980,55 @@ def test_quilt_classes_reject_an_invalid_pair_after_valid_ones():
     cycle = SignedPerm((2, 3, 1), (1, 1, 1))
     bad = LoopSignedGraph(3, (cycle, SignedPerm.identity(3)))
     with pytest.raises(RuntimeError):
-        quilt_classes([(path, other), (other, path), (bad, bad)])
+        quilt_classes(colour_classes([(path, other), (other, path), (bad, bad)]))
 
 
 def test_quotients_refuse_a_batch_past_the_row_cap(monkeypatch):
-    # 118 pairs in 3 colours code 3! x 2 x 118 = 1,416 rows
+    # 118 pairs in 3 colours code 3! x 2 x 118 = 1,416 rows; their 28
+    # colour classes code 3! x 2 x 28 = 336 rows for the quilts
     _, pairs = census_details(4, 3, "mixed")
-    expected = len(colour_classes(pairs)), len(quilt_classes(pairs))
+    classes = colour_classes(pairs)
+    quilt_count = len(quilt_classes(classes))
     monkeypatch.setattr(enumeration, "_MAX_QUOTIENT_ROWS", 1416)
-    assert (len(colour_classes(pairs)), len(quilt_classes(pairs))) == expected
+    assert colour_classes(pairs) == classes
+    monkeypatch.setattr(enumeration, "_MAX_QUOTIENT_ROWS", 336)
+    assert len(quilt_classes(classes)) == quilt_count
 
     def pack(graphs):
         raise AssertionError("graphs packed for a batch past the cap")
 
     monkeypatch.setattr(enumeration, "_pack_graphs", pack)
-    monkeypatch.setattr(enumeration, "_MAX_QUOTIENT_ROWS", 1415)
-    for quotient in (colour_classes, quilt_classes):
-        with pytest.raises(ValueError, match="1416 rows"):
-            quotient(pairs)
+    for cap, quotient, inputs in ((1415, colour_classes, pairs), (335, quilt_classes, classes)):
+        monkeypatch.setattr(enumeration, "_MAX_QUOTIENT_ROWS", cap)
+        with pytest.raises(ValueError, match=f"{cap + 1} rows"):
+            quotient(inputs)
+
+
+def test_quilt_classes_reject_a_split_colour_class():
+    # one of the 28 V=4 colour classes split in two is one class given twice
+    _, pairs = census_details(4, 3, "mixed")
+    classes = colour_classes(pairs)
+    assert len(quilt_classes(classes)) == 17
+    at = next(i for i, cls in enumerate(classes) if len(cls) > 1)
+    split = classes[:at] + [classes[at][:1], classes[at][1:]] + classes[at + 1 :]
+    with pytest.raises(ValueError, match="one colour class"):
+        quilt_classes(split)
+
+
+def test_census_codes_each_pairs_colour_keys_once(monkeypatch):
+    # 957 pairs at V=6 mixed, 3! x 2 rows each; the quilts code only the
+    # first pair of each colour class and its braids
+    calls = []
+
+    def counted(tarr, sarr):
+        calls.append(len(tarr))
+        return _pair_keys(tarr, sarr)
+
+    monkeypatch.setattr(enumeration, "_pair_keys", counted)
+    row, _ = census_details(6, 3, "mixed", quilts=True)
+    assert (row.class_pair_count, row.quilt_count) == (176, 78)
+    assert calls.count(6 * 2 * 957) == 1
+    assert sum(calls) < 2 * 6 * 2 * 957
 
 
 _TRACE_TWINS = Path(__file__).parent / "data" / "v8_mixed_trace_twins.json"

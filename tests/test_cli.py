@@ -8,8 +8,15 @@ import pytest
 from looptrans import cli, enumeration
 from looptrans.cli import main
 from looptrans.catalog import catalog
-from looptrans.formats import GraphFormatError, dumps_json, parse_graph, parse_witness
+from looptrans.formats import (
+    GraphFormatError,
+    dumps_cycles,
+    dumps_json,
+    parse_graph,
+    parse_witness,
+)
 from looptrans.graph import LoopSignedGraph
+from looptrans.transform import add_colour, braid, copy_colour, omit_colour, swap_loop_signs
 from looptrans.transplant import decide, verify_witness
 
 
@@ -426,3 +433,66 @@ def test_catalog_output(capsys):
     assert main(["catalog", "square-triangle"]) == 0
     assert main(["catalog", "band15"]) == 0
     assert main(["catalog", "d4-group"]) == 0
+
+
+def _gww_first_file(tmp_path, g=None):
+    path = tmp_path / "g.json"
+    path.write_text(dumps_json(catalog("gww").graphs[0] if g is None else g))
+    return path
+
+
+_TRANSFORM_CASES = {
+    "copy-color": (["--color", "2"], False, lambda g: copy_colour(g, 2)),
+    "add-color": (["--sign", "D"], False, lambda g: add_colour(g, "D")),
+    "omit-color": (["--color", "4"], True, lambda g: omit_colour(g, 4)),
+    "swap-signs": (["--colors-list", "1"], False, lambda g: swap_loop_signs(g, [1])),
+    "braid": (["--color", "1", "--conjugator", "2"], False, lambda g: braid(g, 1, 2)),
+}
+
+
+@pytest.mark.parametrize("op", list(_TRANSFORM_CASES))
+@pytest.mark.parametrize("fmt", ["json", "cycles"])
+def test_transform_output_matches_library(op, fmt, tmp_path, capsys):
+    flags, on_copy, call = _TRANSFORM_CASES[op]
+    g = catalog("gww").graphs[0]
+    if on_copy:
+        g = copy_colour(g, 2)
+    path = _gww_first_file(tmp_path, g)
+    assert main(["transform", op, str(path), *flags, "--format", fmt]) == 0
+    dumps = dumps_json if fmt == "json" else dumps_cycles
+    assert capsys.readouterr().out == dumps(call(g))
+
+
+@pytest.mark.parametrize(
+    "first,second",
+    [
+        (["copy-color", "--color", "2"], ["omit-color", "--color", "4"]),
+        (["add-color", "--sign", "D"], ["omit-color", "--color", "4"]),
+        (["swap-signs", "--colors-list", "1"], ["swap-signs", "--colors-list", "1"]),
+        (["braid", "--color", "1", "--conjugator", "2"], ["braid", "--color", "1", "--conjugator", "2"]),
+    ],
+)
+def test_transform_round_trip_gives_back_the_input(first, second, tmp_path, capsys):
+    path = _gww_first_file(tmp_path)
+    assert main(["transform", first[0], str(path), *first[1:]]) == 0
+    middle = tmp_path / "middle.json"
+    middle.write_text(capsys.readouterr().out)
+    assert middle.read_text() != path.read_text()
+    assert main(["transform", second[0], str(middle), *second[1:]]) == 0
+    assert capsys.readouterr().out == path.read_text()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["copy-color", "--color", "9"],
+        ["braid", "--color", "9", "--conjugator", "1"],
+        ["swap-signs", "--colors-list", "9"],
+    ],
+)
+def test_transform_colour_out_of_range_exit_code(args, tmp_path, capsys):
+    path = _gww_first_file(tmp_path)
+    assert main(["transform", args[0], str(path), *args[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1

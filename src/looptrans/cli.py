@@ -31,15 +31,8 @@ from .invariants import (
     spectral_report,
     trace_profile,
 )
-from .reps import (
-    NoBipartiteSystem,
-    closure,
-    pair_from_words,
-    schreier_graph,
-)
+from .reps import closure, pair_from_words, schreier_graph
 from .transform import (
-    NoSignPartition,
-    NotNormalizable,
     SubstitutionPlan,
     add_colour,
     braid,
@@ -96,8 +89,11 @@ def _load_plan(path: str) -> SubstitutionPlan:
     )
 
 
+_WRITERS = {"json": dumps_json, "cycles": dumps_cycles, "dot": export_dot}
+
+
 def _emit_graph(g: LoopSignedGraph, fmt: str = "json") -> None:
-    sys.stdout.write(dumps_json(g) if fmt == "json" else dumps_cycles(g))
+    sys.stdout.write(_WRITERS[fmt](g))
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -192,28 +188,40 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _arg(*names: str, **kwargs: object) -> tuple[tuple[str, ...], dict[str, object]]:
+    return names, kwargs
+
+
+_COLOR = _arg("--color", type=int, required=True)
+
+# The graph transforms in `transform --help` order: each subcommand's library
+# call on the parsed graph and arguments, and the arguments its subparser
+# takes between the positional graph and --format.
+_TRANSFORMS = {
+    "dual": (lambda g, args: dualize(g), ()),
+    "copy-color": (lambda g, args: copy_colour(g, args.color), (_COLOR,)),
+    "omit-color": (lambda g, args: omit_colour(g, args.color), (_COLOR,)),
+    "swap-signs": (
+        lambda g, args: swap_loop_signs(g, args.colors_list),
+        (_arg("--colors-list", type=int, nargs="+", required=True),),
+    ),
+    "braid": (
+        lambda g, args: braid(g, args.color, args.conjugator),
+        (_COLOR, _arg("--conjugator", type=int, required=True)),
+    ),
+    "add-color": (
+        lambda g, args: add_colour(g, args.sign),
+        (_arg("--sign", choices=("D", "N"), required=True),),
+    ),
+    "cross": (lambda g, args: cross(g, _load_graph(args.second)), (_arg("second"),)),
+}
+
+
 def _cmd_transform(args: argparse.Namespace) -> int:
-    op = args.operation
-    if op == "substitute":
-        _emit_graph(substitute(_load_plan(args.plan)), args.format)
-        return 0
-    g = _load_graph(args.graph)
-    if op == "dual":
-        out = dualize(g)
-    elif op == "swap-signs":
-        out = swap_loop_signs(g, args.colors_list)
-    elif op == "braid":
-        out = braid(g, args.color, args.conjugator)
-    elif op == "copy-color":
-        out = copy_colour(g, args.color)
-    elif op == "add-color":
-        out = add_colour(g, args.sign)
-    elif op == "omit-color":
-        out = omit_colour(g, args.color)
-    elif op == "cross":
-        out = cross(g, _load_graph(args.second))
+    if args.operation == "substitute":
+        out = substitute(_load_plan(args.plan))
     else:
-        raise InputError(f"unknown transform {op!r}")
+        out = _TRANSFORMS[args.operation][0](_load_graph(args.graph), args)
     _emit_graph(out, args.format)
     return 0
 
@@ -246,11 +254,7 @@ def _cmd_schreier(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
-    if args.format == "dot":
-        sys.stdout.write(export_dot(g))
-    else:
-        _emit_graph(g, args.format)
+    _emit_graph(_load_graph(args.graph), args.format)
     return 0
 
 
@@ -331,34 +335,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transform", help="apply a generating transform")
     op = p.add_subparsers(dest="operation", required=True)
-    for name in ("dual", "copy-color", "omit-color"):
+    for name, (_, extras) in _TRANSFORMS.items():
         q = op.add_parser(name)
         q.add_argument("graph")
-        if name != "dual":
-            q.add_argument("--color", type=int, required=True)
+        for names, kwargs in extras:
+            q.add_argument(*names, **kwargs)
         q.add_argument("--format", choices=("json", "cycles"), default="json")
         q.set_defaults(func=_cmd_transform)
-    q = op.add_parser("swap-signs")
-    q.add_argument("graph")
-    q.add_argument("--colors-list", type=int, nargs="+", required=True)
-    q.add_argument("--format", choices=("json", "cycles"), default="json")
-    q.set_defaults(func=_cmd_transform)
-    q = op.add_parser("braid")
-    q.add_argument("graph")
-    q.add_argument("--color", type=int, required=True)
-    q.add_argument("--conjugator", type=int, required=True)
-    q.add_argument("--format", choices=("json", "cycles"), default="json")
-    q.set_defaults(func=_cmd_transform)
-    q = op.add_parser("add-color")
-    q.add_argument("graph")
-    q.add_argument("--sign", choices=("D", "N"), required=True)
-    q.add_argument("--format", choices=("json", "cycles"), default="json")
-    q.set_defaults(func=_cmd_transform)
-    q = op.add_parser("cross")
-    q.add_argument("graph")
-    q.add_argument("second")
-    q.add_argument("--format", choices=("json", "cycles"), default="json")
-    q.set_defaults(func=_cmd_transform)
     q = op.add_parser("substitute")
     q.add_argument("plan", help="JSON plan: host, substituent, assignment")
     q.add_argument("--format", choices=("json", "cycles"), default="json")
@@ -407,18 +390,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
-    except (
-        InputError,
-        GraphFormatError,
-        NoSignPartition,
-        NotNormalizable,
-        NoBipartiteSystem,
-        ClosureCapExceeded,
-        ValueError,
-        KeyError,
-        json.JSONDecodeError,
-        OSError,
-    ) as exc:
+    except (InputError, ClosureCapExceeded, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

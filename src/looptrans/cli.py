@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .algebra import ClosureCapExceeded
 from .catalog import CATALOG_NAMES, catalog as load_catalog
-from .enumeration import census, enumerate_classes
+from .enumeration import census, enumerate_classes, enumerate_packed
 from .formats import (
     GraphFormatError,
     dumps_cycles,
@@ -172,12 +172,13 @@ def _cmd_census(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    if args.count_only:
+        packed = enumerate_packed(args.vertices, args.colors, args.loops)
+        print(int(packed.treelike().sum()) if args.treelike else len(packed))
+        return 0
     stream = enumerate_classes(
         args.vertices, args.colors, args.loops, treelike_only=args.treelike
     )
-    if args.count_only:
-        print(sum(1 for _ in stream))
-        return 0
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     count = 0

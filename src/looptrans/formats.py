@@ -88,9 +88,26 @@ def _parse_json(doc: object) -> LoopSignedGraph:
                 raise GraphFormatError(f"colour {c}: loop key {key!r} must be a vertex number")
             if sign not in ("D", "N"):
                 raise GraphFormatError(f"colour {c}: loop sign {sign!r} must be 'D' or 'N'")
-            loops[int(key)] = sign
+            _add_loop(loops, c, int(key), sign)
         specs[c] = (edges, loops)
     return _build(vertices, [specs[c] for c in range(1, colors + 1)])
+
+
+def _add_loop(loops: dict[int, str], c: int, v: int, sign: str) -> None:
+    if v in loops:
+        raise GraphFormatError(f"colour {c}: loop at vertex {v} listed twice")
+    loops[v] = sign
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    """A JSON object, refused when one key is given twice: json.loads would
+    keep the last value without a word."""
+    doc: dict[str, object] = {}
+    for key, value in pairs:
+        if key in doc:
+            raise GraphFormatError(f"key {key!r} given twice in one object")
+        doc[key] = value
+    return doc
 
 
 def _build(
@@ -146,7 +163,7 @@ def _parse_cycles(text: str) -> LoopSignedGraph:
             raise GraphFormatError(f"line {lineno}: unparsed edge text {stripped!r}")
         loops = {}
         for v, s in _LOOP.findall(loop_part):
-            loops[int(v)] = s
+            _add_loop(loops, c, int(v), s)
         leftover = _LOOP.sub("", loop_part).strip()
         if leftover:
             raise GraphFormatError(f"line {lineno}: unparsed loop text {leftover!r}")
@@ -172,7 +189,7 @@ def parse_graph(text: str) -> LoopSignedGraph:
         raise GraphFormatError("empty input")
     if stripped[0] == "{":
         try:
-            doc = json.loads(text)
+            doc = json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise GraphFormatError(f"invalid JSON: {exc}") from exc
         return _parse_json(doc)

@@ -496,3 +496,14 @@ def test_transform_colour_out_of_range_exit_code(args, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags,count", [([], "737"), (["--treelike"], "472")])
+def test_enumerate_count_only_builds_no_graph(flags, count, monkeypatch, capsys):
+    def refuse(self, i):
+        raise AssertionError("a counted class was built as a graph")
+
+    monkeypatch.setattr(enumeration.PackedClasses, "graph", refuse)
+    args = ["enumerate", "--vertices", "4", "--colors", "3", "--count-only", *flags]
+    assert main(args) == 0
+    assert capsys.readouterr().out == count + "\n"

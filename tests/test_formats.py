@@ -13,6 +13,7 @@ from looptrans.formats import (
     parse_witness,
 )
 from looptrans.algebra import RatMatrix
+from looptrans.cli import main
 from fractions import Fraction
 
 
@@ -150,3 +151,46 @@ def test_export_dot_single_loop():
     g = LoopSignedGraph.build(1, [([], {1: "N"})])
     out = export_dot(g)
     assert "1 -- 1" in out and 'label="N"' in out
+
+
+def _loops_json(loops: str) -> str:
+    return (
+        '{"version": 1, "vertices": 3, "colors": 1, "adjacency": '
+        '[{"color": 1, "edges": [[1, 2]], "loops": ' + loops + "}]}"
+    )
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "c1: (1,2) loops: 3D 3N\n",
+        "c1: (1,2) loops: 3D 03N\n",
+        _loops_json('{"3": "D", "3": "N"}'),
+        _loops_json('{"3": "D", "03": "N"}'),
+    ],
+)
+def test_loop_listed_twice_refused(text, tmp_path, capsys):
+    with pytest.raises(GraphFormatError, match="3"):
+        parse_graph(text)
+    path = tmp_path / "dup.txt"
+    path.write_text(text)
+    assert main(["check", str(path), str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
+def test_loop_listed_twice_names_colour_and_vertex():
+    for text in ("c1: (1,2) loops: 3D 03N\n", _loops_json('{"3": "D", "03": "N"}')):
+        with pytest.raises(GraphFormatError, match="colour 1: loop at vertex 3 listed twice"):
+            parse_graph(text)
+
+
+def test_json_key_given_twice_refused():
+    text = _loops_json('{"3": "D"}').replace('"vertices": 3,', '"vertices": 3, "vertices": 3,')
+    with pytest.raises(GraphFormatError, match="'vertices' given twice"):
+        parse_graph(text)
+
+
+def test_single_loop_still_parses():
+    for text in ("c1: (1,2) loops: 3D\n", _loops_json('{"3": "D"}')):
+        assert parse_graph(text).loops(1) == {3: "D"}

@@ -435,7 +435,7 @@ def test_catalog_output(capsys):
     assert main(["catalog", "d4-group"]) == 0
 
 
-def _gww_first_file(tmp_path, g=None):
+def _graph_file(tmp_path, g=None):
     path = tmp_path / "g.json"
     path.write_text(dumps_json(catalog("gww").graphs[0] if g is None else g))
     return path
@@ -457,7 +457,7 @@ def test_transform_output_matches_library(op, fmt, tmp_path, capsys):
     g = catalog("gww").graphs[0]
     if on_copy:
         g = copy_colour(g, 2)
-    path = _gww_first_file(tmp_path, g)
+    path = _graph_file(tmp_path, g)
     assert main(["transform", op, str(path), *flags, "--format", fmt]) == 0
     dumps = dumps_json if fmt == "json" else dumps_cycles
     assert capsys.readouterr().out == dumps(call(g))
@@ -473,7 +473,7 @@ def test_transform_output_matches_library(op, fmt, tmp_path, capsys):
     ],
 )
 def test_transform_round_trip_gives_back_the_input(first, second, tmp_path, capsys):
-    path = _gww_first_file(tmp_path)
+    path = _graph_file(tmp_path)
     assert main(["transform", first[0], str(path), *first[1:]]) == 0
     middle = tmp_path / "middle.json"
     middle.write_text(capsys.readouterr().out)
@@ -491,7 +491,7 @@ def test_transform_round_trip_gives_back_the_input(first, second, tmp_path, caps
     ],
 )
 def test_transform_colour_out_of_range_exit_code(args, tmp_path, capsys):
-    path = _gww_first_file(tmp_path)
+    path = _graph_file(tmp_path)
     assert main(["transform", args[0], str(path), *args[1:]]) == 2
     out, err = capsys.readouterr()
     assert out == ""

@@ -6,7 +6,9 @@ matrix with single non-zero entry ``signs[i-1]`` at position
 ``(i, targets[i-1])``, so ``compose(p, q)`` is the matrix product ``p * q``.
 The group closure engine :func:`bfs_closure`, :func:`compose_codes` and
 :func:`inverse_code` work on the :meth:`SignedPerm.encode` form instead: the
-targets with the signs folded in, one plain tuple.
+targets with the signs folded in, one plain tuple; :func:`left_steps` gives
+the closure, and the certificate walk in ``transplant``, left multiplication
+by a generator as one gather.
 :func:`signed_orbits` is the one orbit search, with a +-1 sign along each
 orbit: the sign normalizer :func:`diagonal_normalizer`, ``graph.components``,
 the intertwiner orbits and the conjugacy classes all read it.
@@ -120,6 +122,24 @@ def inverse_code(p: Code) -> Code:
     return tuple(out)
 
 
+def left_steps(generators: Sequence[Code]) -> tuple[list[itemgetter], Code]:
+    """Left multiplication by each generator on the doubled form, and the
+    identity in that form.
+
+    An encoded element x on n points is held as x + (-x), its action on the
+    2n signed basis vectors, so that left multiplication by a generator is
+    one itemgetter; the first n entries are x.
+    """
+    n = len(generators[0])
+    if any(len(g) != n for g in generators):
+        raise SizeMismatchError("generators act on different point counts")
+    steps = []
+    for g in generators:
+        pick = [x - 1 if x > 0 else n - x - 1 for x in g]
+        steps.append(itemgetter(*pick, *((j + n) % (2 * n) for j in pick)))
+    return steps, tuple(range(1, n + 1)) + tuple(range(-1, -n - 1, -1))
+
+
 def bfs_closure(
     generators: Sequence[Code], cap: int = DEFAULT_CLOSURE_CAP
 ) -> Iterator[tuple[Code, tuple[int, ...]]]:
@@ -132,15 +152,7 @@ def bfs_closure(
     :class:`ClosureCapExceeded` when the group has more than ``cap`` elements.
     """
     n = len(generators[0])
-    if any(len(g) != n for g in generators):
-        raise SizeMismatchError("generators act on different point counts")
-    # An element x is held as x + (-x), its action on the 2n signed basis
-    # vectors, so that left multiplication by a generator is one itemgetter.
-    steps = []
-    for g in generators:
-        pick = [x - 1 if x > 0 else n - x - 1 for x in g]
-        steps.append(itemgetter(*pick, *((j + n) % (2 * n) for j in pick)))
-    ident = tuple(range(1, n + 1)) + tuple(range(-1, -n - 1, -1))
+    steps, ident = left_steps(generators)
     seen = {ident}
     queue = deque([(ident, ())])
     yield ident[:n], ()

@@ -64,7 +64,7 @@ from .graph import (
     canonical_form,  # noqa: F401
     is_treelike,
 )
-from .invariants import DEFAULT_MAX_WORD, det_probe  # noqa: F401
+from .invariants import DEFAULT_MAX_WORD, _bracelet_trie, det_probe  # noqa: F401
 from .transform import braid  # noqa: F401
 from .transplant import transplantable
 
@@ -353,35 +353,6 @@ def canonical_codes(targets: np.ndarray, signs: np.ndarray) -> np.ndarray:
         less = _lex_less(code, best)
         best[less] = code[less]
     return best
-
-
-@functools.cache
-def _bracelet_trie(colors: int, max_len: int) -> tuple[tuple[int, int, bool], ...]:
-    """Preorder nodes (depth, colour, is_representative) of the trie of the
-    least representatives of the bracelet classes of cyclically reduced
-    words of length 1 .. max_len.
-
-    The least word of a class starts with its smallest letter, so no letter
-    below the first is tried.
-    """
-    reps: set[tuple[int, ...]] = set()
-
-    def extend(word: tuple[int, ...]) -> None:
-        if len(word) == 1 or word[0] != word[-1]:
-            turns = [word[i:] + word[:i] for i in range(len(word))]
-            if word == min(turns + [t[::-1] for t in turns]):
-                reps.add(word)
-        if len(word) < max_len:
-            for c in range(word[0], colors):
-                if c != word[-1]:
-                    extend(word + (c,))
-
-    if max_len > 0:
-        for c in range(colors):
-            extend((c,))
-    prefixes = {rep[:k] for rep in reps for k in range(1, len(rep) + 1)}
-    # lexicographic order of the prefixes is the trie's depth-first preorder
-    return tuple((len(w), w[-1], w in reps) for w in sorted(prefixes))
 
 
 def _trace_hash(tarr: np.ndarray, sarr: np.ndarray, max_len: int) -> np.ndarray:

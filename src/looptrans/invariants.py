@@ -5,14 +5,18 @@ report of basic invariants.  Equality of any of these is necessary for
 transplantability and never treated as sufficient.  None of them buckets
 census candidates: that is the packed trace hash in ``enumeration``.
 ``kron_probe`` and ``det_probe`` serve the CLI ``invariants`` report, and
-both read one seeded probe matrix.
+both read one seeded probe matrix.  The trie of bracelet representatives,
+built level by level on demand, gives the trace hash its words and the
+negative verdicts of ``transplant.decide`` their shortest certificates.
 """
 
 from __future__ import annotations
 
+import functools
 import random
+import threading
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .algebra import SignedPerm, compose, trace, word_product
 from .graph import LoopSignedGraph, validate
@@ -80,6 +84,87 @@ def trace_profile(g: LoopSignedGraph, max_len: int = DEFAULT_MAX_WORD) -> dict[t
                 for c in range(g.colors, lo - 1, -1)
             )
     return profile
+
+
+class _TrieNode(NamedTuple):
+    """One node of the bracelet trie: a word of 0-based colours."""
+
+    word: tuple[int, ...]
+    parent: int  # index in the level above; the empty word for depth 1
+    lyndon: int  # length of the word's longest Lyndon prefix
+    representative: bool
+
+
+# the levels of the bracelet trie built so far, per colour count; entry k
+# holds the words of length k + 1
+_BRACELET_LEVELS: dict[int, list[tuple[_TrieNode, ...]]] = {}
+_BRACELET_LOCK = threading.Lock()
+
+
+def _is_bracelet_representative(word: tuple[int, ...]) -> bool:
+    """Cyclically reduced and least of its rotation and reversal class."""
+    if len(word) > 1 and word[0] == word[-1]:
+        return False
+    turns = [word[i:] + word[:i] for i in range(len(word))]
+    return word == min(turns + [t[::-1] for t in turns])
+
+
+def _next_level(level: tuple[_TrieNode, ...], n: int, colors: int) -> tuple[_TrieNode, ...]:
+    """The children of the trie's words of length n, in lexicographic order:
+    each prenecklace extends by the colours c >= word[n - p], p its longest
+    Lyndon prefix, other than its last letter, and is a necklace exactly
+    when p divides its length."""
+    nodes = []
+    for i, (word, _, p, _) in enumerate(level):
+        lo = word[n - p]
+        for c in range(lo, colors):
+            if c != word[-1]:
+                w = word + (c,)
+                q = p if c == lo else n + 1
+                rep = (n + 1) % q == 0 and _is_bracelet_representative(w)
+                nodes.append(_TrieNode(w, i, q, rep))
+    return tuple(nodes)
+
+
+def _bracelet_level(colors: int, length: int) -> tuple[_TrieNode, ...]:
+    """The words of one length on the trie of bracelet representatives, in
+    lexicographic order.
+
+    A^c A^c = I, tr(A^c X A^c) = tr(X) and tr(W) = tr(W^T) give every colour
+    word the trace of a word no longer than it that is cyclically reduced
+    and least of its rotation and reversal class (its bracelet); those are
+    the ``representative`` nodes.  The least word of a rotation class is a
+    necklace, every prefix of a necklace is a prenecklace, so the trie holds
+    the prenecklaces without two equal adjacent letters, extended colours
+    ascending as Fredricksen, Kessler and Maiorana do (see
+    :func:`trace_profile`).  Levels are built on demand, one below the
+    other, and kept per colour count; none deeper than ``length`` is built.
+    """
+    levels = _BRACELET_LEVELS.setdefault(colors, [])
+    if len(levels) < length:
+        # levels are only appended, under the lock, so a reader needs none
+        with _BRACELET_LOCK:
+            if not levels:
+                levels.append(tuple(_TrieNode((c,), 0, 1, True) for c in range(colors)))
+            while len(levels) < length:
+                levels.append(_next_level(levels[-1], len(levels), colors))
+    return levels[length - 1]
+
+
+@functools.cache
+def _bracelet_trie(colors: int, max_len: int) -> tuple[tuple[int, int, bool], ...]:
+    """Preorder nodes (depth, colour, is_representative) of the trie of the
+    bracelet representatives of length 1 .. max_len (see
+    :func:`_bracelet_level`), pruned to the prefixes of those words."""
+    reps = {
+        node.word
+        for k in range(1, max_len + 1)
+        for node in _bracelet_level(colors, k)
+        if node.representative
+    }
+    prefixes = {rep[:k] for rep in reps for k in range(1, len(rep) + 1)}
+    # lexicographic order of the prefixes is the trie's depth-first preorder
+    return tuple((len(w), w[-1], w in reps) for w in sorted(prefixes))
 
 
 def _probe_matrix(g: LoopSignedGraph, dim: int, seed: int | None) -> list[list[int]]:

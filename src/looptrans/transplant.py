@@ -19,14 +19,20 @@ routes are implemented:
   pairing is a bijection with equal traces throughout, which is the
   word-trace criterion in its group form.
 
-Both routes are exact; they agree on every input (a tested invariant).
+Both routes are exact; they agree on every input (a tested invariant).  A
+negative verdict is certified by one colour word whose traces differ.  The
+orbit route takes a shortest such word from the trie of bracelet
+representatives (``invariants._bracelet_level``), walked level by level on
+the pair's doubled code; only when a fixed node budget runs out does it take
+the first violation of the pair closure, the group route's certificate.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, Literal, Sequence
+from operator import eq
+from typing import Callable, Iterator, Literal, Sequence
 
 from .algebra import (
     DEFAULT_CLOSURE_CAP,
@@ -35,11 +41,18 @@ from .algebra import (
     SignedPerm,
     bfs_closure,
     int_det,
+    left_steps,
     signed_orbits,
 )
 from .graph import LoopSignedGraph, validate
+from .invariants import _bracelet_level
 
 _WITNESS_RETRIES = 32
+# trie nodes and word length a negative's certificate walk reaches before it
+# falls back to the pair closure: at three colours the nodes run out first,
+# past every word of length 13; two colours have one or two words a length
+_CERTIFICATE_NODES = 4096
+_CERTIFICATE_MAX_LEN = 24
 
 # (root, sign, live) of every entry of T, as ``_orbit_labels`` returns them
 _Labels = tuple[list[int], list[int], list[int]]
@@ -85,10 +98,33 @@ def _check_compatible(g1: LoopSignedGraph, g2: LoopSignedGraph) -> None:
         raise ValueError(f"colour counts differ: {g1.colors} vs {g2.colors}")
 
 
+def _pair_generators(g1: LoopSignedGraph, g2: LoopSignedGraph) -> list[Code]:
+    """The diagonal generators A^c + B^c on 2n points, B on points n+1 .. 2n."""
+    n = g1.vertices
+    return [
+        a.encode() + tuple(x + n if x > 0 else x - n for x in b.encode())
+        for a, b in zip(g1.adjacency, g2.adjacency)
+    ]
+
+
+def _trace_test(n: int) -> Callable[[Code], bool]:
+    """Whether the two halves of a pair code on 2n points have different traces.
+
+    Against the identity signed + on the first half and - on the second, an
+    entry matches where it is a fixed point of sign +1 on A or -1 on B; the
+    opposite tuple counts the others, so the two counts differ exactly when
+    tr A - tr B is nonzero.  Longer codes, such as the doubled form of
+    :func:`~looptrans.algebra.left_steps`, are read on their first 2n entries.
+    """
+    plus = tuple(range(1, n + 1)) + tuple(range(-n - 1, -2 * n - 1, -1))
+    minus = tuple(-x for x in plus)
+    return lambda x: sum(map(eq, x, plus)) != sum(map(eq, x, minus))
+
+
 def _pair_stream(
     g1: LoopSignedGraph, g2: LoopSignedGraph, cap: int
-) -> Iterator[tuple[Code, Code, tuple[int, ...], tuple[int, ...] | None]]:
-    """The pair closure as ``(A-half, B-half, word, clash)`` in BFS order.
+) -> Iterator[tuple[Code, tuple[int, ...], tuple[int, ...] | None]]:
+    """The pair closure as ``(pair code, word, clash)`` in BFS order.
 
     The pair closure is the closure of the diagonal generators A^c + B^c
     acting on 2n points, with B on points n+1 .. 2n.  ``clash`` is None while
@@ -96,16 +132,12 @@ def _pair_stream(
     element sharing one half with this one, and the stream ends there.
     """
     n = g1.vertices
-    gens = [
-        a.encode() + tuple(x + n if x > 0 else x - n for x in b.encode())
-        for a, b in zip(g1.adjacency, g2.adjacency)
-    ]
     left: dict[Code, tuple[int, ...]] = {}
     right: dict[Code, tuple[int, ...]] = {}
-    for elem, word in bfs_closure(gens, cap):
+    for elem, word in bfs_closure(_pair_generators(g1, g2), cap):
         a, b = elem[:n], elem[n:]
         clash = left.get(a, right.get(b))
-        yield a, b, word, clash
+        yield elem, word, clash
         if clash is not None:
             return
         left[a] = right[b] = word
@@ -127,19 +159,14 @@ def pair_closure(
     n = g1.vertices
     elements = []
     words = []
-    for a, b, word, clash in _pair_stream(g1, g2, cap):
+    for elem, word, clash in _pair_stream(g1, g2, cap):
         if clash is not None:
             cert = Certificate("inconsistent", clash, word)
             return PairClosure(tuple(elements), tuple(words), False, cert)
-        b = tuple(x - n if x > 0 else x + n for x in b)
-        elements.append((SignedPerm.decode(a), SignedPerm.decode(b)))
+        b = tuple(x - n if x > 0 else x + n for x in elem[n:])
+        elements.append((SignedPerm.decode(elem[:n]), SignedPerm.decode(b)))
         words.append(word)
     return PairClosure(tuple(elements), tuple(words), True)
-
-
-def _signed_fixed_points(half: Code, first: int) -> int:
-    """Trace of one half of an encoded direct sum starting at point ``first``."""
-    return sum(1 if x > 0 else -1 for i, x in enumerate(half, first) if abs(x) == i)
 
 
 def _group_verdict(
@@ -148,16 +175,47 @@ def _group_verdict(
     """None when the pair closure is consistent with equal traces throughout
     (the pair is transplantable), else a certificate for the first violation.
     """
-    n = g1.vertices
-    for a, b, word, clash in _pair_stream(g1, g2, cap):
+    differ = _trace_test(g1.vertices)
+    for elem, word, clash in _pair_stream(g1, g2, cap):
         if clash is not None:
             # The two words give the same element on one side only, so the
             # first followed by the second reversed is the identity on that
             # side (generators are involutions) but not on the other: its
             # traces differ.
             return Certificate("trace", clash + tuple(reversed(word)))
-        if _signed_fixed_points(a, 1) != _signed_fixed_points(b, n + 1):
+        if differ(elem):
             return Certificate("trace", word)
+    return None
+
+
+def _shortest_trace_word(g1: LoopSignedGraph, g2: LoopSignedGraph) -> tuple[int, ...] | None:
+    """A shortest colour word whose traces differ on the two graphs, or None
+    when none turns up within ``_CERTIFICATE_NODES`` trie nodes and
+    ``_CERTIFICATE_MAX_LEN`` letters.
+
+    Every word has the trace of a bracelet representative no longer than it,
+    so the walk visits the representatives' trie level by level, words
+    lexicographic within a level (:func:`~looptrans.invariants._bracelet_level`),
+    and the first representative with differing traces is a shortest word
+    that separates the graphs.  Each node is one gather on the doubled pair
+    code (:func:`~looptrans.algebra.left_steps`) that applies its last
+    colour to both halves of its parent's product at once.
+    """
+    steps, ident = left_steps(_pair_generators(g1, g2))
+    differ = _trace_test(g1.vertices)
+    values = [ident]
+    budget = _CERTIFICATE_NODES
+    for length in range(1, _CERTIFICATE_MAX_LEN + 1):
+        below = []
+        for word, parent, _, rep in _bracelet_level(g1.colors, length):
+            if not budget:
+                return None
+            budget -= 1
+            x = steps[word[-1]](values[parent])
+            if rep and differ(x):
+                return tuple(c + 1 for c in word)
+            below.append(x)
+        values = below
     return None
 
 
@@ -294,7 +352,10 @@ def decide(
     ``orbit`` (and ``auto``) settles the verdict with the orbit-dimension
     test and emits a witness from the orbit basis; ``group`` closes the
     generator pairs and checks consistency plus equal traces element-wise.
-    Negative verdicts carry a word certificate either way.
+    Negative verdicts carry a word certificate either way: on ``orbit`` a
+    shortest word with differing traces, found on the bracelet trie within
+    a fixed node budget, else the pair closure's; on ``group`` the pair
+    closure's.
     """
     _check_compatible(g1, g2)
     if method not in ("auto", "group", "orbit"):
@@ -304,7 +365,8 @@ def decide(
         return Decision(False, route, certificate=Certificate("trace", ()))
     labels = _equivalent_representations(g1, g2) if route == "orbit" else None
     if labels is None:
-        cert = _group_verdict(g1, g2, cap)
+        word = _shortest_trace_word(g1, g2) if route == "orbit" else None
+        cert = Certificate("trace", word) if word is not None else _group_verdict(g1, g2, cap)
         if cert is not None:
             return Decision(False, route, certificate=cert)
         if route == "orbit":

@@ -26,7 +26,6 @@ from looptrans.graph import (
 from looptrans.enumeration import (
     PackedClasses,
     _braid_rows,
-    _bracelet_trie,
     _canonical_mask,
     _generate_leaves,
     _loop_signs,
@@ -45,7 +44,7 @@ from looptrans.enumeration import (
     find_pairs_packed,
     quilt_classes,
 )
-from looptrans.invariants import DEFAULT_MAX_WORD, trace_profile, word_trace
+from looptrans.invariants import DEFAULT_MAX_WORD, _bracelet_trie, trace_profile, word_trace
 from looptrans.transform import NotNormalizable, braid
 from looptrans.transplant import transplantable
 from conftest import random_graph

@@ -7,8 +7,10 @@ import pytest
 
 from looptrans.algebra import RatMatrix, SignedPerm, compose, int_det, trace
 from looptrans.graph import LoopSignedGraph
+from looptrans import invariants
 from looptrans.invariants import (
     PRIME_MODULUS,
+    _bracelet_level,
     det_probe,
     kron_probe,
     spectral_report,
@@ -172,6 +174,35 @@ def test_one_colour_profile_is_iterative():
         sys.setrecursionlimit(limit)
     assert len(profile) == 301
     assert profile[(1,) * 299] == -1 and profile[(1,) * 300] == 3
+
+
+def _is_bracelet_rep(word):
+    """Cyclically reduced, and least of its rotations and their reversals."""
+    n = len(word)
+    if any(word[i] == word[(i + 1) % n] for i in range(n)) and n > 1:
+        return False
+    turns = [word[i:] + word[:i] for i in range(n)]
+    return word == min(turns + [t[::-1] for t in turns])
+
+
+@pytest.mark.parametrize("colors,max_len", [(1, 4), (2, 9), (3, 8), (4, 6)])
+def test_bracelet_levels_hold_every_representative_in_order(colors, max_len, monkeypatch):
+    monkeypatch.setattr(invariants, "_BRACELET_LEVELS", {})
+    assert [n.word for n in _bracelet_level(colors, 2)] == [
+        (a, b) for a in range(colors) for b in range(a + 1, colors)
+    ]
+    assert len(invariants._BRACELET_LEVELS[colors]) == 2
+    above = _bracelet_level(colors, 1)
+    for length in range(2, max_len + 1):
+        level = _bracelet_level(colors, length)
+        words = [n.word for n in level]
+        assert words == sorted(set(words))
+        assert all(n.word[:-1] == above[n.parent].word for n in level)
+        reps = [n.word for n in level if n.representative]
+        expected = [w for w in product(range(colors), repeat=length) if _is_bracelet_rep(w)]
+        assert reps == expected
+        above = level
+    assert len(invariants._BRACELET_LEVELS[colors]) == max_len
 
 
 def test_det_probe(gww, square_triangle):

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import looptrans
-from looptrans import transplant
-from looptrans.algebra import ClosureCapExceeded, RatMatrix, SignedPerm, word_product
+from looptrans import invariants, transplant
+from looptrans.algebra import ClosureCapExceeded, RatMatrix, SignedPerm, compose, trace, word_product
 from looptrans.catalog import catalog
 from looptrans.enumeration import census_details
 from looptrans.graph import LoopSignedGraph, disjoint_union, permute
@@ -29,6 +29,7 @@ from looptrans.transplant import (
 from conftest import random_graph
 
 CANDIDATES = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "candidates.json"
+TRACE_TWINS = Path(__file__).parent / "data" / "v8_mixed_trace_twins.json"
 
 
 def _single_vertex(sign):
@@ -106,11 +107,12 @@ def test_decide_self_gives_identity_witness(gww):
 
 
 def test_decide_single_vertex_negative():
-    decision = decide(_single_vertex("D"), _single_vertex("N"))
-    assert not decision.verdict
-    cert = decision.certificate
-    assert cert is not None and cert.kind == "trace"
-    assert len(cert.word) == 1
+    for method in ("auto", "group"):
+        decision = decide(_single_vertex("D"), _single_vertex("N"), method=method)
+        assert not decision.verdict
+        cert = decision.certificate
+        assert cert is not None and cert.kind == "trace"
+        assert cert.word == (1,)
 
 
 def test_certificates_are_checkable(gww):
@@ -521,3 +523,84 @@ def test_verify_witness_ignores_rational_scale(gww, square_triangle):
         for k in (Fraction(1, 2), Fraction(-3, 7), 5, -1):
             assert verify_witness(g1, g2, t.scale(k)) == expected
     assert outcomes == {True, False}
+
+
+# ------------------------------------------------ negative certificates
+
+
+def _shortest_separating_length(a, b, max_len):
+    """The least length of a colour word with differing traces on a and b,
+    by a walk over every word of each length; None past max_len."""
+    products = [(SignedPerm.identity(a.vertices), SignedPerm.identity(b.vertices))]
+    for length in range(1, max_len + 1):
+        products = [
+            (compose(pa, x), compose(pb, y))
+            for x, y in products
+            for pa, pb in zip(a.adjacency, b.adjacency)
+        ]
+        if any(trace(x) != trace(y) for x, y in products):
+            return length
+    return None
+
+
+@pytest.mark.parametrize("colors", [2, 3])
+def test_orbit_certificates_are_shortest_separating_words(colors):
+    rng = random.Random(31 + colors)
+    negatives = 0
+    for _ in range(150):
+        vertices = rng.randint(1, 5)
+        a, b = random_graph(rng, vertices, colors), random_graph(rng, vertices, colors)
+        d = decide(a, b)
+        if d.verdict:
+            continue
+        negatives += 1
+        word = d.certificate.word
+        assert d.certificate.kind == "trace"
+        assert word_trace(a, word) != word_trace(b, word)
+        assert len(word) == _shortest_separating_length(a, b, len(word))
+        assert len(word) <= len(transplant._group_verdict(a, b, 10**6).word)
+    assert negatives > 50
+
+
+def test_trace_twins_get_their_eleven_letter_word():
+    # the six V=8 mixed candidates whose traces agree up to length 10
+    for pair in json.loads(TRACE_TWINS.read_text())["pairs"]:
+        a, b = (
+            LoopSignedGraph(8, tuple(map(SignedPerm, map(tuple, t), map(tuple, s))))
+            for t, s in zip(pair["targets"], pair["signs"])
+        )
+        d = decide(a, b)
+        assert not d.verdict
+        word = d.certificate.word
+        assert len(word) == 11
+        assert word_trace(a, word) != word_trace(b, word)
+
+
+def test_exhausted_node_budget_falls_back_to_the_closure(monkeypatch):
+    monkeypatch.setattr(transplant, "_CERTIFICATE_NODES", 0)
+    rng = random.Random(33)
+    negatives = 0
+    pairs = [(random_graph(rng, 5, 3), random_graph(rng, 5, 3)) for _ in range(40)]
+    pairs.append((_single_vertex("D"), _single_vertex("N")))
+    for a, b in pairs:
+        d = decide(a, b)
+        if not d.verdict:
+            negatives += 1
+            assert d.certificate == transplant._group_verdict(a, b, 10**6)
+    assert negatives > 10
+
+
+def test_certificate_walk_builds_only_the_levels_it_reaches(monkeypatch):
+    # nine colours: colour 9 of b is colour 9 of a relabelled, so every
+    # one-letter trace agrees and the walk goes below the first level
+    monkeypatch.setattr(invariants, "_BRACELET_LEVELS", {})
+    rng = random.Random(9)
+    a = random_graph(rng, 5, 9)
+    moved = permute(LoopSignedGraph(5, a.adjacency[8:]), (2, 3, 4, 5, 1))
+    b = LoopSignedGraph(5, a.adjacency[:8] + moved.adjacency)
+    d = decide(a, b)
+    assert not d.verdict
+    word = d.certificate.word
+    assert word_trace(a, word) != word_trace(b, word)
+    assert len(word) >= 2
+    assert len(invariants._BRACELET_LEVELS[9]) == len(word)

@@ -16,6 +16,7 @@ from .catalog import CATALOG_NAMES, catalog as load_catalog
 from .enumeration import census, enumerate_classes, enumerate_packed
 from .formats import (
     GraphFormatError,
+    _unique_keys,
     dumps_cycles,
     dumps_json,
     dumps_witness,
@@ -59,8 +60,12 @@ def _load_graph(path: str) -> LoopSignedGraph:
 
 def _load_plan(path: str) -> SubstitutionPlan:
     """A substitution plan file: the host and substituent graph files, and
-    the assignment as an object of objects of integer arrays."""
-    doc = json.loads(Path(path).read_text())
+    the assignment as an object of objects of integer arrays; a key given
+    twice in one object is refused."""
+    try:
+        doc = json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
+    except (json.JSONDecodeError, GraphFormatError) as exc:
+        raise InputError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError(f"{path}: top level must be a JSON object")
     for field in ("host", "substituent"):

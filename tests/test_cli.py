@@ -370,6 +370,27 @@ def test_transform_substitute_malformed_plan_exit_code(
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("repeated", ["host", "assignment colour"])
+def test_transform_substitute_plan_with_a_repeated_key_exit_code(
+    repeated, substitution_files, tmp_path, capsys
+):
+    # json.loads alone would keep the second value and substitute into it
+    host, sub = (json.dumps(str(f)) for f in substitution_files)
+    text = {
+        "host": f'{{"host": {sub}, "host": {host}, "substituent": {sub}, "assignment": {{}}}}',
+        "assignment colour": (
+            f'{{"host": {host}, "substituent": {sub}, '
+            '"assignment": {"1": {"1": [1]}, "1": {"1": [2]}}}'
+        ),
+    }[repeated]
+    plan = tmp_path / "plan.json"
+    plan.write_text(text)
+    assert main(["transform", "substitute", str(plan)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "given twice" in err and err.count("\n") == 1
+
+
 def test_transform_braid_not_normalizable(tmp_path, capsys):
     band = catalog("band15").graphs[1]
     f = tmp_path / "band.json"

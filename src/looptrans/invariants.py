@@ -110,10 +110,12 @@ def _is_bracelet_representative(word: tuple[int, ...]) -> bool:
 
 
 def _next_level(level: tuple[_TrieNode, ...], n: int, colors: int) -> tuple[_TrieNode, ...]:
-    """The children of the trie's words of length n, in lexicographic order:
-    each prenecklace extends by the colours c >= word[n - p], p its longest
-    Lyndon prefix, other than its last letter, and is a necklace exactly
-    when p divides its length."""
+    """The children of the trie's words of length n, in lexicographic order.
+
+    A word extends by each colour c >= word[n - p] other than its last
+    letter, where p is the length of its longest Lyndon prefix; a child is a
+    necklace exactly when its own p divides its length.
+    """
     nodes = []
     for i, (word, _, p, _) in enumerate(level):
         lo = word[n - p]

@@ -6,7 +6,6 @@ from .graph import (
     LoopSignedGraph,
     canonical_form,
     components,
-    double_cover,
     is_bipartite_loopless,
     is_isomorphic,
     is_treelike,
@@ -14,7 +13,7 @@ from .graph import (
     validate,
 )
 from .catalog import catalog
-from .enumeration import CensusRow, census, census_details, enumerate_classes, find_pairs
+from .enumeration import CensusRow, census, census_details, enumerate_classes
 from .invariants import (
     SpectralReport,
     det_probe,
@@ -25,11 +24,8 @@ from .invariants import (
 )
 from .transplant import (
     Decision,
-    PairClosure,
     decide,
     intertwiner_space,
-    pair_closure,
-    pairwise_check,
     transplantable,
     verify_witness,
 )
@@ -39,7 +35,6 @@ __all__ = [
     "CensusRow",
     "Decision",
     "LoopSignedGraph",
-    "PairClosure",
     "RatMatrix",
     "SignedPerm",
     "SpectralReport",
@@ -51,9 +46,7 @@ __all__ = [
     "compose",
     "decide",
     "det_probe",
-    "double_cover",
     "enumerate_classes",
-    "find_pairs",
     "intertwiner_space",
     "inverse",
     "is_bipartite_loopless",
@@ -62,8 +55,6 @@ __all__ = [
     "kron_probe",
     "kronecker",
     "loopless_version",
-    "pair_closure",
-    "pairwise_check",
     "spectral_report",
     "trace",
     "trace_profile",

@@ -32,6 +32,11 @@ Rational = int | Fraction
 Code = tuple[int, ...]
 
 DEFAULT_CLOSURE_CAP = 2_000_000
+# entries of stored doubled codes (elements x 2 x points) a closure may hold,
+# whatever its element cap: on 250 points the pair closure of ``transplant``
+# grew the RSS by about 14 bytes an entry and ``reps.closure`` by about 13,
+# so the bound stays under 1 GB
+MAX_CLOSURE_ENTRIES = 2**26
 
 
 class SizeMismatchError(ValueError):
@@ -149,10 +154,13 @@ def bfs_closure(
     reached, identity first, where ``element`` is in :meth:`SignedPerm.encode`
     form and equals ``word_product(generators, word)``: each generator is
     applied on the left of the element it extends.  Raises
-    :class:`ClosureCapExceeded` when the group has more than ``cap`` elements.
+    :class:`ClosureCapExceeded` when the group has more than ``cap``
+    elements, or more than ``MAX_CLOSURE_ENTRIES // (2 * n)`` on n points,
+    so that the stored doubled codes stay within a fixed memory bound.
     """
     n = len(generators[0])
     steps, ident = left_steps(generators)
+    limit = min(cap, MAX_CLOSURE_ENTRIES // len(ident))
     seen = {ident}
     queue = deque([(ident, ())])
     yield ident[:n], ()
@@ -162,8 +170,12 @@ def bfs_closure(
             nxt = step(current)
             if nxt in seen:
                 continue
-            if len(seen) >= cap:
-                raise ClosureCapExceeded(f"group closure exceeded cap {cap}")
+            if len(seen) >= limit:
+                raise ClosureCapExceeded(
+                    f"group closure exceeded {limit} elements: the cap is {cap} "
+                    f"elements and {MAX_CLOSURE_ENTRIES} code entries, {len(ident)} "
+                    "per element"
+                )
             seen.add(nxt)
             nword = word + (c,)
             queue.append((nxt, nword))
@@ -195,19 +207,6 @@ def kronecker(p: SignedPerm, q: SignedPerm) -> SignedPerm:
             targets.append((ti - 1) * n + tj)
             signs.append(si * sj)
     return SignedPerm(tuple(targets), tuple(signs))
-
-
-def shuffle_perm(m: int, n: int) -> SignedPerm:
-    """The perfect-shuffle permutation S with S (A x B) S^-1 = B x A.
-
-    Here ``A x B`` uses the index convention of :func:`kronecker` with A of
-    size m and B of size n.
-    """
-    targets = [0] * (m * n)
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            targets[(i - 1) * n + (j - 1)] = (j - 1) * m + i
-    return SignedPerm(tuple(targets), (1,) * (m * n))
 
 
 def conjugate_by_diagonal(p: SignedPerm, signs: Sequence[int]) -> SignedPerm:

@@ -303,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("first")
     p.add_argument("second")
     p.add_argument("--witness", help="write the witness matrix to this file")
-    p.add_argument("--method", choices=("auto", "group", "orbit"), default="auto")
+    p.add_argument("--method", choices=("group", "orbit"), default="orbit")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_check)
 

@@ -517,23 +517,6 @@ def find_pairs_packed(packed: PackedClasses) -> list[tuple[int, int]]:
     )
 
 
-def find_pairs(
-    graphs: Sequence[LoopSignedGraph],
-) -> list[tuple[LoopSignedGraph, LoopSignedGraph]]:
-    """All unordered pairs of distinct classes that are transplantable."""
-    if not graphs:
-        return []
-    vertices = graphs[0].vertices
-    colors = graphs[0].colors
-    if any(g.vertices != vertices or g.colors != colors for g in graphs):
-        raise ValueError("find_pairs needs equal vertex and colour counts")
-    tarr, sarr = _pack_graphs(graphs)
-    packed = PackedClasses(
-        vertices, colors, tarr, sarr, _trace_hash(tarr, sarr, DEFAULT_MAX_WORD)
-    )
-    return [(graphs[i], graphs[j]) for i, j in find_pairs_packed(packed)]
-
-
 def _pack_graphs(graphs: Sequence[LoopSignedGraph]) -> tuple[np.ndarray, np.ndarray]:
     """1-based targets (int16) and signs (int8) of equal-size graphs, (N, C, V)."""
     tarr = np.array([[p.targets for p in g.adjacency] for g in graphs], np.int16)

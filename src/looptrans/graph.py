@@ -286,43 +286,6 @@ def subgraph(g: LoopSignedGraph, keep: Sequence[int]) -> LoopSignedGraph:
     return LoopSignedGraph(len(keep), tuple(perms))
 
 
-def double_cover(g: LoopSignedGraph) -> LoopSignedGraph:
-    """Two copies of the loopless version, Dirichlet loops turned into rungs.
-
-    Vertex i of the first copy is i, of the second copy i + V.  A c-coloured
-    Dirichlet loop at i becomes a c-edge between the copies of i; Neumann
-    loops stay loops on both copies.
-    """
-    n = g.vertices
-    perms = []
-    for p in g.adjacency:
-        targets = [0] * (2 * n)
-        signs = [1] * (2 * n)
-        for i, (t, s) in enumerate(zip(p.targets, p.signs), start=1):
-            if t != i:
-                targets[i - 1] = t
-                targets[n + i - 1] = n + t
-            elif s < 0:
-                targets[i - 1] = n + i
-                targets[n + i - 1] = i
-            else:
-                targets[i - 1] = i
-                targets[n + i - 1] = n + i
-        perms.append(SignedPerm(tuple(targets), tuple(signs)))
-    return LoopSignedGraph(2 * n, tuple(perms))
-
-
-def action_on_double_cover(p: SignedPerm) -> tuple[int, ...]:
-    """Vertex permutation of :func:`double_cover` induced by a group element."""
-    out = [0] * (2 * p.size)
-    for i, (t, s) in enumerate(zip(p.targets, p.signs), start=1):
-        if s > 0:
-            out[i - 1], out[p.size + i - 1] = t, p.size + t
-        else:
-            out[i - 1], out[p.size + i - 1] = p.size + t, t
-    return tuple(out)
-
-
 def disjoint_union(graphs: Iterable[LoopSignedGraph]) -> LoopSignedGraph:
     graphs = list(graphs)
     if not graphs:

@@ -41,9 +41,6 @@ class SpectralReport:
     corner_traces: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
     loopless_edges: int | None
 
-    def corner_map(self) -> dict[tuple[int, int], tuple[int, int]]:
-        return dict(self.corner_traces)
-
 
 def word_trace(g: LoopSignedGraph, word: Sequence[int]) -> int:
     """Trace of the product A^{c_l} ... A^{c_1} for the word c_1 .. c_l."""

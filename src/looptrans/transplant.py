@@ -17,9 +17,13 @@ routes are implemented:
 
 * the group route closes the generator pairs (A^c, B^c) and checks that the
   pairing is a bijection with equal traces throughout, which is the
-  word-trace criterion in its group form.
+  word-trace criterion in its group form.  ``_group_verdict`` is the one
+  walk of this pair closure; ``algebra.bfs_closure`` bounds it by element
+  count and by memory.
 
-Both routes are exact; they agree on every input (a tested invariant).  A
+``decide(method=...)`` names the route, ``"orbit"`` (the default) or
+``"group"``.  Both routes are exact; they agree on every input (a tested
+invariant).  A
 negative verdict is certified by one colour word whose traces differ.  The
 orbit route takes a shortest such word from the trie of bracelet
 representatives (``invariants._bracelet_level``), walked level by level on
@@ -32,13 +36,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from operator import eq
-from typing import Callable, Iterator, Literal, Sequence
+from typing import Callable, Literal, Sequence
 
 from .algebra import (
     DEFAULT_CLOSURE_CAP,
     Code,
     RatMatrix,
-    SignedPerm,
     bfs_closure,
     int_det,
     left_steps,
@@ -60,15 +63,11 @@ _Labels = tuple[list[int], list[int], list[int]]
 
 @dataclass(frozen=True)
 class Certificate:
-    """Evidence for a negative verdict.
+    """Evidence for a negative verdict: a colour word whose traces differ on
+    the two graphs."""
 
-    Either a single colour word whose traces differ on the two graphs, or a
-    pair of words whose products agree on one graph but not on the other.
-    """
-
-    kind: Literal["trace", "inconsistent"]
+    kind: Literal["trace"]
     word: tuple[int, ...]
-    other_word: tuple[int, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -76,16 +75,6 @@ class Decision:
     verdict: bool
     method: Literal["group", "orbit"]
     witness: RatMatrix | None = None
-    certificate: Certificate | None = None
-
-
-@dataclass(frozen=True)
-class PairClosure:
-    """Closure of the generator pairs under multiplication, with word witnesses."""
-
-    elements: tuple[tuple[SignedPerm, SignedPerm], ...]
-    words: tuple[tuple[int, ...], ...]
-    consistent: bool
     certificate: Certificate | None = None
 
 
@@ -121,62 +110,23 @@ def _trace_test(n: int) -> Callable[[Code], bool]:
     return lambda x: sum(map(eq, x, plus)) != sum(map(eq, x, minus))
 
 
-def _pair_stream(
-    g1: LoopSignedGraph, g2: LoopSignedGraph, cap: int
-) -> Iterator[tuple[Code, tuple[int, ...], tuple[int, ...] | None]]:
-    """The pair closure as ``(pair code, word, clash)`` in BFS order.
-
-    The pair closure is the closure of the diagonal generators A^c + B^c
-    acting on 2n points, with B on points n+1 .. 2n.  ``clash`` is None while
-    the pairing is a bijection; otherwise it is the word of an earlier
-    element sharing one half with this one, and the stream ends there.
-    """
-    n = g1.vertices
-    left: dict[Code, tuple[int, ...]] = {}
-    right: dict[Code, tuple[int, ...]] = {}
-    for elem, word in bfs_closure(_pair_generators(g1, g2), cap):
-        a, b = elem[:n], elem[n:]
-        clash = left.get(a, right.get(b))
-        yield elem, word, clash
-        if clash is not None:
-            return
-        left[a] = right[b] = word
-
-
-def pair_closure(
-    g1: LoopSignedGraph,
-    g2: LoopSignedGraph,
-    cap: int = DEFAULT_CLOSURE_CAP,
-) -> PairClosure:
-    """Closure of {(A^c, B^c)} under left multiplication.
-
-    Returns an inconsistent closure as soon as two words give equal first
-    components but different second components (or vice versa).
-    """
-    _check_compatible(g1, g2)
-    if g1.vertices != g2.vertices:
-        raise ValueError("pair closure needs equal vertex counts")
-    n = g1.vertices
-    elements = []
-    words = []
-    for elem, word, clash in _pair_stream(g1, g2, cap):
-        if clash is not None:
-            cert = Certificate("inconsistent", clash, word)
-            return PairClosure(tuple(elements), tuple(words), False, cert)
-        b = tuple(x - n if x > 0 else x + n for x in elem[n:])
-        elements.append((SignedPerm.decode(elem[:n]), SignedPerm.decode(b)))
-        words.append(word)
-    return PairClosure(tuple(elements), tuple(words), True)
-
-
 def _group_verdict(
     g1: LoopSignedGraph, g2: LoopSignedGraph, cap: int
 ) -> Certificate | None:
     """None when the pair closure is consistent with equal traces throughout
     (the pair is transplantable), else a certificate for the first violation.
+
+    The pair closure is the closure of the diagonal generators A^c + B^c
+    acting on 2n points, with B on points n+1 .. 2n, walked in BFS order.  It
+    is consistent while the pairing of its halves is a bijection.
     """
-    differ = _trace_test(g1.vertices)
-    for elem, word, clash in _pair_stream(g1, g2, cap):
+    n = g1.vertices
+    differ = _trace_test(n)
+    left: dict[Code, tuple[int, ...]] = {}
+    right: dict[Code, tuple[int, ...]] = {}
+    for elem, word in bfs_closure(_pair_generators(g1, g2), cap):
+        a, b = elem[:n], elem[n:]
+        clash = left.get(a, right.get(b))
         if clash is not None:
             # The two words give the same element on one side only, so the
             # first followed by the second reversed is the identity on that
@@ -185,6 +135,7 @@ def _group_verdict(
             return Certificate("trace", clash + tuple(reversed(word)))
         if differ(elem):
             return Certificate("trace", word)
+        left[a] = right[b] = word
     return None
 
 
@@ -343,59 +294,44 @@ def verify_witness(g1: LoopSignedGraph, g2: LoopSignedGraph, t: RatMatrix) -> bo
 def decide(
     g1: LoopSignedGraph,
     g2: LoopSignedGraph,
-    method: Literal["auto", "group", "orbit"] = "auto",
+    method: Literal["group", "orbit"] = "orbit",
     seed: int | None = None,
     cap: int = DEFAULT_CLOSURE_CAP,
 ) -> Decision:
     """Decide transplantability exactly.
 
-    ``orbit`` (and ``auto``) settles the verdict with the orbit-dimension
-    test and emits a witness from the orbit basis; ``group`` closes the
-    generator pairs and checks consistency plus equal traces element-wise.
-    Negative verdicts carry a word certificate either way: on ``orbit`` a
-    shortest word with differing traces, found on the bracelet trie within
-    a fixed node budget, else the pair closure's; on ``group`` the pair
-    closure's.
+    ``orbit`` settles the verdict with the orbit-dimension test and emits a
+    witness from the orbit basis; ``group`` closes the generator pairs and
+    checks consistency plus equal traces element-wise.  Negative verdicts
+    carry a word certificate either way: on ``orbit`` a shortest word with
+    differing traces, found on the bracelet trie within a fixed node budget,
+    else the pair closure's; on ``group`` the pair closure's.  Any other
+    ``method`` raises ``ValueError``.
     """
     _check_compatible(g1, g2)
-    if method not in ("auto", "group", "orbit"):
+    if method not in ("group", "orbit"):
         raise ValueError(f"unknown method {method!r}")
-    route: Literal["group", "orbit"] = "group" if method == "group" else "orbit"
     if g1.vertices != g2.vertices:
-        return Decision(False, route, certificate=Certificate("trace", ()))
-    labels = _equivalent_representations(g1, g2) if route == "orbit" else None
+        return Decision(False, method, certificate=Certificate("trace", ()))
+    labels = _equivalent_representations(g1, g2) if method == "orbit" else None
     if labels is None:
-        word = _shortest_trace_word(g1, g2) if route == "orbit" else None
+        word = _shortest_trace_word(g1, g2) if method == "orbit" else None
         cert = Certificate("trace", word) if word is not None else _group_verdict(g1, g2, cap)
         if cert is not None:
-            return Decision(False, route, certificate=cert)
-        if route == "orbit":
+            return Decision(False, method, certificate=cert)
+        if method == "orbit":
             raise RuntimeError("the group route found no certificate for a negative verdict")
     if g1 == g2:
-        return Decision(True, route, witness=RatMatrix.identity(g1.vertices))
+        return Decision(True, method, witness=RatMatrix.identity(g1.vertices))
     if labels is None:
         labels = _orbit_labels(g1, g2)
     witness = _invertible_combination(labels, g1.vertices, seed)
     if witness is None:
         raise RuntimeError("no invertible intertwiner found for a transplantable pair")
-    return Decision(True, route, witness=witness)
+    return Decision(True, method, witness=witness)
 
 
 def transplantable(g1: LoopSignedGraph, g2: LoopSignedGraph) -> bool:
     """Verdict only; no witness or certificate construction."""
     _check_compatible(g1, g2)
     return _equivalent_representations(g1, g2) is not None
-
-
-def pairwise_check(graphs: Sequence[LoopSignedGraph]) -> list[list[bool]]:
-    """Symmetric matrix of transplantability verdicts; diagonal is true."""
-    k = len(graphs)
-    out = [[False] * k for _ in range(k)]
-    for i in range(k):
-        out[i][i] = True
-        for j in range(i + 1, k):
-            if graphs[i].vertices != graphs[j].vertices:
-                continue
-            v = transplantable(graphs[i], graphs[j])
-            out[i][j] = out[j][i] = v
-    return out

@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from looptrans.algebra import SignedPerm
+from looptrans.algebra import DEFAULT_CLOSURE_CAP, SignedPerm, bfs_closure
 from looptrans.catalog import catalog
 from looptrans.graph import LoopSignedGraph
+from looptrans.transplant import _pair_generators
 
 
 @pytest.fixture(scope="session")
@@ -53,3 +54,15 @@ def random_graph(rng: random.Random, vertices: int, colors: int) -> LoopSignedGr
         vertices,
         tuple(random_symmetric_involution(rng, vertices) for _ in range(colors)),
     )
+
+
+def pair_closure(g1: LoopSignedGraph, g2: LoopSignedGraph, cap: int = DEFAULT_CLOSURE_CAP):
+    """The pair closure's ``(A, B)`` elements and their words, read from
+    ``bfs_closure`` on the diagonal generators (B on points n+1 .. 2n)."""
+    n = g1.vertices
+    elements, words = [], []
+    for code, word in bfs_closure(_pair_generators(g1, g2), cap):
+        b = tuple(x - n if x > 0 else x + n for x in code[n:])
+        elements.append((SignedPerm.decode(code[:n]), SignedPerm.decode(b)))
+        words.append(word)
+    return elements, words

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from looptrans import cli, enumeration
+from looptrans import algebra, cli, enumeration
 from looptrans.cli import main
 from looptrans.catalog import catalog
 from looptrans.formats import (
@@ -67,6 +67,26 @@ def test_closure_cap_exit_code(gww_files, monkeypatch, capsys):
     monkeypatch.setattr(cli, "decide", functools.partial(decide, cap=100))
     assert main(["check", str(a), str(b), "--method", "group"]) == 2
     assert "cap" in capsys.readouterr().err
+
+
+def test_closure_memory_bound_exit_code(gww_files, monkeypatch, capsys):
+    # 28 entries per pair-closure element and 14 per group element on gww's
+    # 7 points; the group has 336 elements
+    a, b = gww_files
+    monkeypatch.setattr(algebra, "MAX_CLOSURE_ENTRIES", 28 * 100)
+    assert main(["check", str(a), str(b), "--method", "group"]) == 2
+    assert "exceeded 100 elements" in capsys.readouterr().err
+    schreier = ["schreier", "--generators", str(a), "--subgroup", "e", "--character", "+"]
+    assert main(schreier) == 2
+    assert "exceeded 200 elements" in capsys.readouterr().err
+
+
+def test_check_method_auto_exit_code(gww_files, capsys):
+    a, b = gww_files
+    with pytest.raises(SystemExit) as exc:
+        main(["check", str(a), str(b), "--method", "auto"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'auto'" in capsys.readouterr().err
 
 
 def test_malformed_input_exit_code(tmp_path, capsys):

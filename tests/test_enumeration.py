@@ -40,7 +40,6 @@ from looptrans.enumeration import (
     colour_classes,
     enumerate_classes,
     enumerate_packed,
-    find_pairs,
     find_pairs_packed,
     quilt_classes,
 )
@@ -670,11 +669,12 @@ def test_class_counts_four_colours_and_bad_input():
 
 
 def test_find_pairs_matches_all_pairs_decide():
-    graphs = list(enumerate_classes(2, 3, "mixed"))
+    packed = enumerate_packed(2, 3, "mixed")
+    graphs = [packed.graph(i) for i in range(len(packed))]
     assert len(graphs) == 40
     found = {
-        (canonical_form(a).code, canonical_form(b).code)
-        for a, b in find_pairs(graphs)
+        (canonical_form(graphs[i]).code, canonical_form(graphs[j]).code)
+        for i, j in find_pairs_packed(packed)
     }
     brute = set()
     for i in range(len(graphs)):
@@ -724,8 +724,8 @@ def test_census_signless_two_vertices():
 
 
 def test_colour_classes_on_two_vertex_pairs():
-    graphs = list(enumerate_classes(2, 3, "mixed"))
-    pairs = find_pairs(graphs)
+    packed = enumerate_packed(2, 3, "mixed")
+    pairs = [(packed.graph(i), packed.graph(j)) for i, j in find_pairs_packed(packed)]
     classes = colour_classes(pairs)
     assert len(classes) == 3
     assert sorted(len(c) for c in classes) == [3, 3, 3]

@@ -5,14 +5,12 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from looptrans.algebra import SignedPerm, compose
+from looptrans.algebra import SignedPerm
 from looptrans.graph import (
     LoopSignedGraph,
-    action_on_double_cover,
     canonical_form,
     components,
     disjoint_union,
-    double_cover,
     is_bipartite_loopless,
     is_canonical,
     is_connected,
@@ -217,45 +215,3 @@ def test_subgraph_extracts_components(gww):
     assert subgraph(g, comps[0]) == gww.graphs[0]
     with pytest.raises(ValueError):
         subgraph(g, (1, 2, 3))  # not a union of components
-
-
-def test_double_cover_no_dirichlet_gives_two_copies():
-    g = _loops_only(3, 2, "N")
-    cover = double_cover(g)
-    assert cover.vertices == 6
-    assert len(components(cover)) == 6  # loops-only graph: copies stay loops
-    h = LoopSignedGraph.build(2, [([(1, 2)], {}), ([], {1: "N", 2: "N"})])
-    cover_h = double_cover(h)
-    comps = components(cover_h)
-    assert len(comps) == 2
-    assert subgraph(cover_h, comps[0]) == h
-
-
-def test_double_cover_single_dirichlet_loop():
-    g = LoopSignedGraph.build(1, [([], {1: "D"})])
-    cover = double_cover(g)
-    assert cover.vertices == 2
-    assert cover.edges(1) == [(1, 2)]
-
-
-def test_double_cover_gww_connected(gww):
-    cover = double_cover(gww.graphs[0])
-    assert cover.vertices == 14
-    assert is_connected(cover)
-
-
-def test_group_acts_faithfully_on_double_cover(gww):
-    # products of adjacency matrices act as distinct vertex permutations
-    g = gww.graphs[0]
-    seen = {}
-    rng = random.Random(23)
-    for _ in range(200):
-        word = [rng.randint(1, 3) for _ in range(rng.randint(0, 6))]
-        acc = SignedPerm.identity(7)
-        for c in word:
-            acc = compose(acc, g.color(c))
-        action = action_on_double_cover(acc)
-        if action in seen:
-            assert seen[action] == acc
-        else:
-            seen[action] = acc

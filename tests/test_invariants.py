@@ -243,7 +243,7 @@ def test_spectral_report(gww, square_triangle):
     assert report.boundary_balance == (-1, -1, 1)
     assert report.loopless_edges is None  # mixed signs
     s = square_triangle.graphs[0]
-    corners = spectral_report(s).corner_map()
+    corners = dict(spectral_report(s).corner_traces)
     assert corners[(1, 2)] == (0, -2)
 
 

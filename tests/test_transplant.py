@@ -10,8 +10,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import looptrans
-from looptrans import invariants, transplant
-from looptrans.algebra import ClosureCapExceeded, RatMatrix, SignedPerm, compose, trace, word_product
+from looptrans import algebra, invariants, transplant
+from looptrans.algebra import (
+    ClosureCapExceeded,
+    RatMatrix,
+    SignedPerm,
+    bfs_closure,
+    compose,
+    trace,
+    word_product,
+)
 from looptrans.catalog import catalog
 from looptrans.enumeration import census_details
 from looptrans.graph import LoopSignedGraph, disjoint_union, permute
@@ -20,13 +28,11 @@ from looptrans.reps import closure as group_closure
 from looptrans.transplant import (
     decide,
     intertwiner_space,
-    pair_closure,
-    pairwise_check,
     transplantable,
     verify_witness,
 )
 
-from conftest import random_graph
+from conftest import pair_closure, random_graph
 
 CANDIDATES = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "candidates.json"
 TRACE_TWINS = Path(__file__).parent / "data" / "v8_mixed_trace_twins.json"
@@ -36,25 +42,29 @@ def _single_vertex(sign):
     return LoopSignedGraph.build(1, [([], {1: sign})])
 
 
+def _consistent(elements):
+    """Whether the pairing of the halves is a bijection."""
+    return len({a for a, _ in elements}) == len({b for _, b in elements}) == len(elements)
+
+
 def test_pair_closure_self(square_triangle):
     s = square_triangle.graphs[0]
-    closure = pair_closure(s, s)
-    assert closure.consistent
-    assert len(closure.elements) == 8
-    assert all(a == b for a, b in closure.elements)
+    elements, _ = pair_closure(s, s)
+    assert _consistent(elements)
+    assert len(elements) == 8
+    assert all(a == b for a, b in elements)
 
 
 def test_pair_closure_square_triangle(square_triangle):
     s, t = square_triangle.graphs
-    closure = pair_closure(s, t)
-    assert closure.consistent
-    assert len(closure.elements) == 8  # dihedral group of the square
+    elements, _ = pair_closure(s, t)
+    assert _consistent(elements)
+    assert len(elements) == 8  # dihedral group of the square
 
 
 def test_pair_closure_word_witnesses(square_triangle):
     s, t = square_triangle.graphs
-    closure = pair_closure(s, t)
-    for (a, b), word in zip(closure.elements, closure.words):
+    for (a, b), word in zip(*pair_closure(s, t)):
         assert word_product(s.adjacency, word) == a
         assert word_product(t.adjacency, word) == b
 
@@ -63,10 +73,10 @@ def test_pair_closure_of_a_graph_with_itself_is_its_group(gww, square_triangle):
     # a pair closure is the closure of the diagonal generators, so pairing a
     # graph with itself walks its group in the same order with the same words
     for g in (gww.graphs[0], square_triangle.graphs[1]):
-        pc = pair_closure(g, g)
+        elements, words = pair_closure(g, g)
         group = group_closure(list(g.adjacency))
-        assert [a for a, _ in pc.elements] == list(group.elements)
-        assert pc.words == group.words
+        assert [a for a, _ in elements] == list(group.elements)
+        assert tuple(words) == group.words
 
 
 def test_small_cap_raises_on_every_closure(gww):
@@ -80,11 +90,24 @@ def test_small_cap_raises_on_every_closure(gww):
     assert group_closure(list(g1.adjacency), cap=336).order == 336
 
 
-def test_pair_closure_inconsistent():
-    closure = pair_closure(_single_vertex("D"), _single_vertex("N"))
-    assert not closure.consistent
-    assert closure.certificate is not None
-    assert closure.certificate.kind == "inconsistent"
+def test_memory_bound_raises_on_every_closure(gww, monkeypatch):
+    # the closures refuse at MAX_CLOSURE_ENTRIES // len(doubled code)
+    # elements: 14 entries on gww's 7 points, 28 for the pair closure
+    g1, g2 = gww.graphs
+    gens = [p.encode() for p in g1.adjacency]
+    monkeypatch.setattr(algebra, "MAX_CLOSURE_ENTRIES", 14 * 100 + 13)
+    reached = []
+    with pytest.raises(ClosureCapExceeded, match="exceeded 100 elements"):
+        reached.extend(bfs_closure(gens))
+    assert len(reached) == 100
+    with pytest.raises(ClosureCapExceeded):
+        group_closure(list(g1.adjacency))
+    monkeypatch.setattr(algebra, "MAX_CLOSURE_ENTRIES", 28 * 335)
+    with pytest.raises(ClosureCapExceeded, match="exceeded 335 elements"):
+        decide(g1, g2, method="group")
+    monkeypatch.setattr(algebra, "MAX_CLOSURE_ENTRIES", 28 * 336)
+    assert decide(g1, g2, method="group").verdict
+    assert group_closure(list(g1.adjacency)).order == 336
 
 
 def test_decide_fixtures(gww, square_triangle, band15):
@@ -106,8 +129,20 @@ def test_decide_self_gives_identity_witness(gww):
     assert verify_witness(g, g, RatMatrix.identity(7))
 
 
+def test_decide_refuses_an_unknown_method(gww):
+    for method in ("auto", "Orbit", ""):
+        with pytest.raises(ValueError, match="unknown method"):
+            decide(*gww.graphs, method=method)
+
+
+def test_star_import_names_only_existing_names():
+    namespace = {}
+    exec("from looptrans import *", namespace)
+    assert set(looptrans.__all__) <= namespace.keys()
+
+
 def test_decide_single_vertex_negative():
-    for method in ("auto", "group"):
+    for method in ("orbit", "group"):
         decision = decide(_single_vertex("D"), _single_vertex("N"), method=method)
         assert not decision.verdict
         cert = decision.certificate
@@ -200,16 +235,6 @@ def test_verify_witness_rejects(gww):
         verify_witness(g1, g2, RatMatrix.identity(3))
 
 
-def test_pairwise_check(gww):
-    g1, g2 = gww.graphs
-    assert pairwise_check([g1]) == [[True]]
-    assert pairwise_check([g1, g2]) == [[True, True], [True, True]]
-    tiny = _single_vertex("N")
-    matrix = pairwise_check([g1, g2, tiny])
-    assert matrix[0][2] is False and matrix[2][1] is False
-    assert matrix[2][2] is True
-
-
 def test_transplantable_is_symmetric(gww, square_triangle):
     g1, g2 = gww.graphs
     assert transplantable(g1, g2) and transplantable(g2, g1)
@@ -227,7 +252,7 @@ def test_intertwiner_invertible_implies_equal_word_traces(square_triangle):
 
 def test_missing_witness_raises(gww, monkeypatch):
     monkeypatch.setattr(transplant, "_invertible_combination", lambda *args: None)
-    for method in ("auto", "group"):
+    for method in ("orbit", "group"):
         with pytest.raises(RuntimeError):
             decide(*gww.graphs, method=method)
 
@@ -242,7 +267,7 @@ assert False, "asserts must be stripped"
 g1, g2 = catalog("gww").graphs
 d = LoopSignedGraph.build(1, [([], {1: "D"})])
 n = LoopSignedGraph.build(1, [([], {1: "N"})])
-for method in ("auto", "group"):
+for method in ("orbit", "group"):
     yes = decide(g1, g2, method=method)
     no = decide(d, n, method=method)
     word = no.certificate.word
@@ -258,7 +283,7 @@ def test_decide_under_optimized_python():
         [sys.executable, "-O", "-c", _OPTIMIZED_SCRIPT],
         env=env, capture_output=True, text=True, check=True, timeout=120,
     ).stdout.split("\n")
-    assert out[:2] == ["auto True True False True", "group True True False True"]
+    assert out[:2] == ["orbit True True False True", "group True True False True"]
 
 
 # ------------------------------------------------ properties of the decision

@@ -4,11 +4,16 @@ A signed permutation on V points is stored by rows: vertex i is sent to
 ``targets[i-1]`` with sign ``signs[i-1]``.  In matrix form this is the V x V
 matrix with single non-zero entry ``signs[i-1]`` at position
 ``(i, targets[i-1])``, so ``compose(p, q)`` is the matrix product ``p * q``.
-The group closure engine :func:`bfs_closure`, :func:`compose_codes` and
-:func:`inverse_code` work on the :meth:`SignedPerm.encode` form instead: the
-targets with the signs folded in, one plain tuple; :func:`left_steps` gives
-the closure, and the certificate walk in ``transplant``, left multiplication
-by a generator as one gather.
+:func:`compose_codes` and :func:`inverse_code` work on the
+:meth:`SignedPerm.encode` form instead: the targets with the signs folded in,
+one plain tuple.  The group closure engine :func:`bfs_closure` walks a code
+of its own, and only this module reads it: on up to ``BYTE_CODE_POINTS``
+points a ``bytes`` code, where left multiplication by a generator is one
+``bytes.translate``, and on more points a doubled tuple, where it is one
+gather.  :func:`left_steps` gives those steps, to the closure and to the
+certificate walk in ``transplant``; :func:`code_to_encode` reads a code back
+in the encode form, and :func:`pair_trace_test` compares the traces of its
+two halves.
 :func:`signed_orbits` is the one orbit search, with a +-1 sign along each
 orbit: the sign normalizer :func:`diagonal_normalizer`, ``graph.components``,
 the intertwiner orbits and the conjugacy classes all read it.
@@ -25,18 +30,27 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
-from typing import Iterator, Sequence
+from operator import eq, itemgetter
+from typing import Callable, Iterator, Sequence
 
 Rational = int | Fraction
 Code = tuple[int, ...]
+# an element as :func:`bfs_closure` walks it: ``bytes`` or a doubled tuple
+WalkCode = bytes | tuple[int, ...]
 
 DEFAULT_CLOSURE_CAP = 2_000_000
-# entries of stored doubled codes (elements x 2 x points) a closure may hold,
-# whatever its element cap: on 250 points the pair closure of ``transplant``
-# grew the RSS by about 14 bytes an entry and ``reps.closure`` by about 13,
-# so the bound stays under 1 GB
+# entries a closure may hold, 2 a point an element (elements x 2 x points,
+# the doubled tuple's length), whatever its element cap and its code form.
+# In doubled tuples on 250 points, the pair closure of ``transplant`` grew the
+# RSS by about 14 bytes an entry and ``reps.closure`` by about 13; on 128
+# points the pair closure grew it by 16.1 (1,030 MiB at the bound).  In bytes
+# on 128 points the pair closure grew it by 2.8 bytes an entry (720 bytes an
+# element, 180 MiB at the bound).  All measured with CPython 3.11 on Linux
+# x86-64
 MAX_CLOSURE_ENTRIES = 2**26
+# walks on at most this many points run on ``bytes`` codes: ``translate``
+# maps byte values, and a point has two signed indices
+BYTE_CODE_POINTS = 128
 
 
 class SizeMismatchError(ValueError):
@@ -127,40 +141,116 @@ def inverse_code(p: Code) -> Code:
     return tuple(out)
 
 
-def left_steps(generators: Sequence[Code]) -> tuple[list[itemgetter], Code]:
-    """Left multiplication by each generator on the doubled form, and the
-    identity in that form.
+def _byte_form(n: int) -> bool:
+    """Whether a closure walk on n points runs on ``bytes`` codes."""
+    return n <= BYTE_CODE_POINTS
 
-    An encoded element x on n points is held as x + (-x), its action on the
-    2n signed basis vectors, so that left multiplication by a generator is
-    one itemgetter; the first n entries are x.
+
+def _signed_images(code: Code) -> list[int]:
+    """Indices of the images of +1 .. +n, then of -1 .. -n, under an encoded
+    element on n points, where +i has index i-1 and -i has index n+i-1."""
+    n = len(code)
+    images = [x - 1 if x > 0 else n - x - 1 for x in code]
+    return images + [(j + n) % (2 * n) for j in images]
+
+
+def left_steps(
+    generators: Sequence[Code],
+) -> tuple[list[Callable[[WalkCode], WalkCode]], WalkCode]:
+    """Left multiplication by each generator on the walk code, and the
+    identity's code.
+
+    On n <= ``BYTE_CODE_POINTS`` points an element x is held as n bytes:
+    byte i-1 is the index (:func:`_signed_images`) of the image of +i under
+    x^-1.  Since (g x)^-1 = x^-1 g^-1 as maps, left multiplication by g is
+    one ``translate`` through the table of g^-1 on the 2n signed indices.
+    The inverse has x's trace and x's half clashes, and the code is
+    one-to-one, so the walk reaches the same elements in the same order.
+
+    On more points x is held as the tuple x + (-x), its action on the 2n
+    signed basis vectors, so that left multiplication by a generator is one
+    itemgetter; the first n entries are x.
     """
     n = len(generators[0])
     if any(len(g) != n for g in generators):
         raise SizeMismatchError("generators act on different point counts")
-    steps = []
-    for g in generators:
-        pick = [x - 1 if x > 0 else n - x - 1 for x in g]
-        steps.append(itemgetter(*pick, *((j + n) % (2 * n) for j in pick)))
+    if _byte_form(n):
+        tail = list(range(2 * n, 256))
+        tables = [bytes(_signed_images(inverse_code(g)) + tail) for g in generators]
+        return [lambda x, table=t: x.translate(table) for t in tables], bytes(range(n))
+    steps = [itemgetter(*_signed_images(g)) for g in generators]
     return steps, tuple(range(1, n + 1)) + tuple(range(-1, -n - 1, -1))
+
+
+def code_to_encode(code: WalkCode, n: int) -> Code:
+    """The :meth:`SignedPerm.encode` form of a code :func:`bfs_closure`
+    yields on n points."""
+    if not _byte_form(n):
+        return tuple(code[:n])
+    out = [0] * n
+    for i, j in enumerate(code, start=1):
+        if j < n:
+            out[j] = i
+        else:
+            out[j - n] = -i
+    return tuple(out)
+
+
+def pair_trace_test(n: int) -> Callable[[WalkCode], bool]:
+    """Whether the two halves of a walk code on 2n points, points 1 .. n and
+    n+1 .. 2n, have different traces.
+
+    Against the identity signed + on the first half and - on the second, an
+    entry matches where it is a fixed point of sign +1 on the first half or
+    -1 on the second; the opposite reference counts the others, so the two
+    counts differ exactly when the halves' traces differ.
+
+    A ``bytes`` code is read as one little-endian integer x.  The bytes of
+    x ^ ref that are nonzero are counted exactly: with L = 0x7f7f..7f and
+    H = 0x8080..80, ``((y & L) + L | y) & H`` has the top bit of a byte set
+    exactly where that byte of y is nonzero (the sum carries within the
+    byte, never out of it), and ``int.bit_count`` (Python >= 3.10) counts
+    them.  A doubled tuple is read on its first 2n entries.
+    """
+    if _byte_form(2 * n):
+        width = 2 * n
+        plus = int.from_bytes(bytes([*range(n), *range(width + n, 2 * width)]), "little")
+        minus = int.from_bytes(bytes([*range(width, width + n), *range(n, width)]), "little")
+        low = int.from_bytes(b"\x7f" * width, "little")
+        high = int.from_bytes(b"\x80" * width, "little")
+
+        def differ(code: WalkCode) -> bool:
+            x = int.from_bytes(code, "little")
+            y, z = x ^ plus, x ^ minus
+            return (((y & low) + low | y) & high).bit_count() != (
+                ((z & low) + low | z) & high
+            ).bit_count()
+
+        return differ
+    tplus = tuple(range(1, n + 1)) + tuple(range(-n - 1, -2 * n - 1, -1))
+    tminus = tuple(-x for x in tplus)
+    return lambda x: sum(map(eq, x, tplus)) != sum(map(eq, x, tminus))
 
 
 def bfs_closure(
     generators: Sequence[Code], cap: int = DEFAULT_CLOSURE_CAP
-) -> Iterator[tuple[Code, tuple[int, ...]]]:
+) -> Iterator[tuple[WalkCode, tuple[int, ...]]]:
     """Breadth-first closure of encoded signed permutations.
 
-    Yields ``(element, word)`` for each element the moment it is first
-    reached, identity first, where ``element`` is in :meth:`SignedPerm.encode`
-    form and equals ``word_product(generators, word)``: each generator is
-    applied on the left of the element it extends.  Raises
+    Yields ``(code, word)`` for each element the moment it is first
+    reached, identity first, where the element equals
+    ``word_product(generators, word)``: each generator is applied on the left
+    of the element it extends.  ``code`` is the element's walk code on n
+    points (:func:`left_steps`) cut to n entries: n bytes on up to
+    ``BYTE_CODE_POINTS`` points, else the :meth:`SignedPerm.encode` tuple;
+    :func:`code_to_encode` reads either in the encode form.  Raises
     :class:`ClosureCapExceeded` when the group has more than ``cap``
-    elements, or more than ``MAX_CLOSURE_ENTRIES // (2 * n)`` on n points,
-    so that the stored doubled codes stay within a fixed memory bound.
+    elements, or more than ``MAX_CLOSURE_ENTRIES // (2 * n)``, whatever the
+    code form, so that the stored codes stay within a fixed memory bound.
     """
     n = len(generators[0])
     steps, ident = left_steps(generators)
-    limit = min(cap, MAX_CLOSURE_ENTRIES // len(ident))
+    limit = min(cap, MAX_CLOSURE_ENTRIES // (2 * n))
     seen = {ident}
     queue = deque([(ident, ())])
     yield ident[:n], ()
@@ -173,7 +263,7 @@ def bfs_closure(
             if len(seen) >= limit:
                 raise ClosureCapExceeded(
                     f"group closure exceeded {limit} elements: the cap is {cap} "
-                    f"elements and {MAX_CLOSURE_ENTRIES} code entries, {len(ident)} "
+                    f"elements and {MAX_CLOSURE_ENTRIES} code entries, {2 * n} "
                     "per element"
                 )
             seen.add(nxt)

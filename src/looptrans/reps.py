@@ -26,6 +26,7 @@ from .algebra import (
     Code,
     SignedPerm,
     bfs_closure,
+    code_to_encode,
     compose_codes,
     inverse_code,
     signed_orbits,
@@ -38,7 +39,7 @@ from .graph import LoopSignedGraph, components, validate
 class GroupClosure:
     """A finite group of signed permutations with a witness word per element.
 
-    Elements are the :meth:`SignedPerm.encode` codes of ``bfs_closure``;
+    Elements are :meth:`SignedPerm.encode` codes, in ``bfs_closure`` order;
     ``elements`` decodes them on request.  Element 0 is the identity;
     ``words[i]`` is a colour word whose product (last letter applied last)
     equals element i.
@@ -106,8 +107,9 @@ def closure(
     """The group the generators generate, in breadth-first order."""
     if not generators:
         raise ValueError("need at least one generator")
+    n = generators[0].size
     codes, words = zip(*bfs_closure([g.encode() for g in generators], cap))
-    return GroupClosure(tuple(generators), codes, words)
+    return GroupClosure(tuple(generators), tuple(code_to_encode(c, n) for c in codes), words)
 
 
 @dataclass(frozen=True)

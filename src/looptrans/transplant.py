@@ -27,24 +27,29 @@ invariant).  A
 negative verdict is certified by one colour word whose traces differ.  The
 orbit route takes a shortest such word from the trie of bracelet
 representatives (``invariants._bracelet_level``), walked level by level on
-the pair's doubled code; only when a fixed node budget runs out does it take
+the pair's walk code; only when a fixed node budget runs out does it take
 the first violation of the pair closure, the group route's certificate.
+
+Both walks step, slice and trace-test the pair's code through ``algebra``
+(``left_steps``, ``bfs_closure``, ``pair_trace_test``) and never read its
+form: a code's first n entries stand for A and the next n for B.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from operator import eq
-from typing import Callable, Literal, Sequence
+from typing import Literal, Sequence
 
 from .algebra import (
     DEFAULT_CLOSURE_CAP,
     Code,
     RatMatrix,
+    WalkCode,
     bfs_closure,
     int_det,
     left_steps,
+    pair_trace_test,
     signed_orbits,
 )
 from .graph import LoopSignedGraph, validate
@@ -96,20 +101,6 @@ def _pair_generators(g1: LoopSignedGraph, g2: LoopSignedGraph) -> list[Code]:
     ]
 
 
-def _trace_test(n: int) -> Callable[[Code], bool]:
-    """Whether the two halves of a pair code on 2n points have different traces.
-
-    Against the identity signed + on the first half and - on the second, an
-    entry matches where it is a fixed point of sign +1 on A or -1 on B; the
-    opposite tuple counts the others, so the two counts differ exactly when
-    tr A - tr B is nonzero.  Longer codes, such as the doubled form of
-    :func:`~looptrans.algebra.left_steps`, are read on their first 2n entries.
-    """
-    plus = tuple(range(1, n + 1)) + tuple(range(-n - 1, -2 * n - 1, -1))
-    minus = tuple(-x for x in plus)
-    return lambda x: sum(map(eq, x, plus)) != sum(map(eq, x, minus))
-
-
 def _group_verdict(
     g1: LoopSignedGraph, g2: LoopSignedGraph, cap: int
 ) -> Certificate | None:
@@ -121,9 +112,9 @@ def _group_verdict(
     is consistent while the pairing of its halves is a bijection.
     """
     n = g1.vertices
-    differ = _trace_test(n)
-    left: dict[Code, tuple[int, ...]] = {}
-    right: dict[Code, tuple[int, ...]] = {}
+    differ = pair_trace_test(n)
+    left: dict[WalkCode, tuple[int, ...]] = {}
+    right: dict[WalkCode, tuple[int, ...]] = {}
     for elem, word in bfs_closure(_pair_generators(g1, g2), cap):
         a, b = elem[:n], elem[n:]
         clash = left.get(a, right.get(b))
@@ -148,12 +139,12 @@ def _shortest_trace_word(g1: LoopSignedGraph, g2: LoopSignedGraph) -> tuple[int,
     so the walk visits the representatives' trie level by level, words
     lexicographic within a level (:func:`~looptrans.invariants._bracelet_level`),
     and the first representative with differing traces is a shortest word
-    that separates the graphs.  Each node is one gather on the doubled pair
+    that separates the graphs.  Each node is one step on the pair's walk
     code (:func:`~looptrans.algebra.left_steps`) that applies its last
     colour to both halves of its parent's product at once.
     """
     steps, ident = left_steps(_pair_generators(g1, g2))
-    differ = _trace_test(g1.vertices)
+    differ = pair_trace_test(g1.vertices)
     values = [ident]
     budget = _CERTIFICATE_NODES
     for length in range(1, _CERTIFICATE_MAX_LEN + 1):

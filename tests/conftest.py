@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from looptrans.algebra import DEFAULT_CLOSURE_CAP, SignedPerm, bfs_closure
+from looptrans.algebra import DEFAULT_CLOSURE_CAP, SignedPerm, bfs_closure, code_to_encode
 from looptrans.catalog import catalog
 from looptrans.graph import LoopSignedGraph
 from looptrans.transplant import _pair_generators
@@ -62,6 +62,7 @@ def pair_closure(g1: LoopSignedGraph, g2: LoopSignedGraph, cap: int = DEFAULT_CL
     n = g1.vertices
     elements, words = [], []
     for code, word in bfs_closure(_pair_generators(g1, g2), cap):
+        code = code_to_encode(code, 2 * n)
         b = tuple(x - n if x > 0 else x + n for x in code[n:])
         elements.append((SignedPerm.decode(code[:n]), SignedPerm.decode(b)))
         words.append(word)

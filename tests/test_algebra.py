@@ -9,11 +9,14 @@ from looptrans.algebra import (
     RatMatrix,
     SignedPerm,
     SizeMismatchError,
+    code_to_encode,
     compose,
     conjugate_by_diagonal,
     int_det,
     inverse,
     kronecker,
+    left_steps,
+    pair_trace_test,
     signed_orbits,
     trace,
 )
@@ -359,3 +362,29 @@ def test_signed_orbits_clash_at_negative_fixed_point():
     flip = ([1, 0, 2], [-1, -1, 1])
     assert signed_orbits([flip], 3) == ([0, 0, 2], [1, -1, 1], [0, 2])
     assert signed_orbits([], 2) == ([0, 1], [1, 1], [0, 1])
+
+
+@st.composite
+def _half_fixed_perms(draw):
+    """A signed permutation on 2n points, n = 1 .. 70, with fixed points of
+    both signs on both halves: walks up to 128 points run on bytes, the rest
+    on tuples."""
+    n = draw(st.integers(1, 70))
+    fixed = draw(st.sets(st.integers(1, 2 * n)))
+    moved = [i for i in range(1, 2 * n + 1) if i not in fixed]
+    image = dict(zip(moved, draw(st.permutations(moved))))
+    targets = tuple(image.get(i, i) for i in range(1, 2 * n + 1))
+    signs = tuple(draw(st.lists(st.sampled_from((1, -1)), min_size=2 * n, max_size=2 * n)))
+    return n, SignedPerm(targets, signs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_half_fixed_perms())
+def test_pair_trace_test_counts_signed_fixed_points(case):
+    n, p = case
+    steps, ident = left_steps([p.encode()])
+    code = steps[0](ident)
+    assert isinstance(code, bytes) == (n <= 64)
+    assert code_to_encode(code[: 2 * n], 2 * n) == p.encode()
+    fixed = [s if t == i else 0 for i, (t, s) in enumerate(zip(p.targets, p.signs), start=1)]
+    assert pair_trace_test(n)(code) == (sum(fixed[:n]) != sum(fixed[n:]))

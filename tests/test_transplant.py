@@ -16,6 +16,7 @@ from looptrans.algebra import (
     RatMatrix,
     SignedPerm,
     bfs_closure,
+    code_to_encode,
     compose,
     trace,
     word_product,
@@ -26,6 +27,7 @@ from looptrans.graph import LoopSignedGraph, disjoint_union, permute
 from looptrans.invariants import word_trace
 from looptrans.reps import closure as group_closure
 from looptrans.transplant import (
+    _pair_generators,
     decide,
     intertwiner_space,
     transplantable,
@@ -629,3 +631,70 @@ def test_certificate_walk_builds_only_the_levels_it_reaches(monkeypatch):
     assert word_trace(a, word) != word_trace(b, word)
     assert len(word) >= 2
     assert len(invariants._BRACELET_LEVELS[9]) == len(word)
+
+
+def _path(n):
+    """The path 1 - 2 - ... - n in two alternating colours, a Neumann loop at
+    vertex 1 and a Dirichlet loop at vertex n where a colour leaves them
+    unmatched."""
+    colours = []
+    for first in (1, 2):
+        targets, signs = list(range(1, n + 1)), [1] * n
+        for i in range(first, n, 2):
+            targets[i - 1], targets[i] = i + 1, i
+        if targets[n - 1] == n:
+            signs[n - 1] = -1
+        colours.append(SignedPerm(tuple(targets), tuple(signs)))
+    return LoopSignedGraph(n, tuple(colours))
+
+
+def _code_form_records(pairs):
+    """Under the current code form: the pair closure's words and decoded
+    elements (its first 3,000), both routes' decisions, and the group closure
+    of each graph, with the form each walk ran on."""
+    records, forms = [], set()
+    for g1, g2 in pairs:
+        walk = []
+        for code, word in bfs_closure(_pair_generators(g1, g2)):
+            forms.add(type(code))
+            walk.append((code_to_encode(code, 2 * g1.vertices), word))
+            if len(walk) == 3000:
+                break
+        groups = [group_closure(list(g.adjacency)) for g in (g1, g2)]
+        records.append((
+            walk,
+            decide(g1, g2, method="group"),
+            decide(g1, g2),
+            [(grp.codes, grp.words) for grp in groups],
+        ))
+    return records, forms
+
+
+def test_byte_and_tuple_codes_agree(gww, square_triangle, band15, monkeypatch):
+    rng = random.Random(36)
+    pairs = [gww.graphs, square_triangle.graphs, band15.graphs]
+    for _ in range(12):
+        g = random_graph(rng, rng.randint(2, 5), 3)
+        pairs.append((g, random_graph(rng, g.vertices, 3)))
+        pairs.append((g, permute(g, rng.sample(range(1, g.vertices + 1), g.vertices))))
+    byte_records, byte_forms = _code_form_records(pairs)
+    assert byte_forms == {bytes}
+    monkeypatch.setattr(algebra, "BYTE_CODE_POINTS", 0)
+    tuple_records, tuple_forms = _code_form_records(pairs)
+    assert tuple_forms == {tuple}
+    assert byte_records == tuple_records
+    verdicts = [group.verdict for _, group, _, _ in byte_records]
+    assert 5 < sum(verdicts) < len(verdicts) - 5
+
+
+@pytest.mark.parametrize("vertices", [64, 65])
+def test_relabelled_paths_at_the_byte_code_limit(vertices):
+    # the pair walks on 128 points (bytes) and on 130 points (tuples)
+    g = _path(vertices)
+    h = permute(g, random.Random(vertices).sample(range(1, vertices + 1), vertices))
+    code, _ = next(bfs_closure(_pair_generators(g, h)))
+    assert isinstance(code, bytes) == (vertices == 64)
+    for method in ("orbit", "group"):
+        d = decide(g, h, method=method)
+        assert d.verdict
+        assert verify_witness(g, h, d.witness)
